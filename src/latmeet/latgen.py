@@ -23,7 +23,7 @@ import numpy as np
 from .endo import count_join_endomorphisms
 from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
                      OutOfRangeError, SizeUnreachableError)
-from .lattice import Lattice, chain, from_leq
+from .lattice import TABLE_LIMIT, Lattice, _transitive_closure_matrix, chain, from_leq
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -86,12 +86,7 @@ class MixedStep:
 
 def transitive_closure(rel):
     'Close under composition; a 2-cycle in the closure is an error.'
-    m = rel.matrix.copy()
-    while True:
-        nxt = m | (m @ m)
-        if np.array_equal(nxt, m):
-            break
-        m = nxt
+    m = _transitive_closure_matrix(rel.matrix)
     if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
         raise AntisymmetryError('transitive closure creates a cycle')
     return OrderRelation(m, check=False)
@@ -342,10 +337,14 @@ def random_distributive_lattice(n, seed=None, strict=False, attempts=200):
     Samples a random poset on k points and takes its lattice of down-sets,
     retrying k and the poset until the size lands on n.  A chain poset of
     n - 1 points always gives exactly n down-sets, so after `attempts`
-    random posets the sampler falls back to that (or errors under strict
-    mode).  Distributivity is verified on the result.'''
+    random posets the sampler falls back to the n-chain (or errors under
+    strict mode).  Distributive by construction (Birkhoff); n above
+    TABLE_LIMIT is refused before sampling.'''
     if n < 1:
         raise OutOfRangeError(f'n must be positive, got {n}')
+    if n > TABLE_LIMIT:
+        raise BudgetExceededError(
+            f'random_distributive_lattice: n={n} exceeds TABLE_LIMIT={TABLE_LIMIT}')
     rng = random.Random(seed)
     if n == 1:
         return chain(1)
@@ -353,57 +352,57 @@ def random_distributive_lattice(n, seed=None, strict=False, attempts=200):
     k_hi = min(n - 1, k_lo + 10)
     for _ in range(attempts):
         k = rng.randint(k_lo, k_hi)
-        poset = _random_poset(k, rng)
-        masks = _downset_masks(poset)
+        below = _random_poset(k, rng)
+        masks = _downset_masks(below, n)
         if len(masks) == n:
-            return _downset_lattice(masks, n)
+            return _downset_lattice(below, masks)
     if strict:
         raise SizeUnreachableError(
             f'no sampled poset produced a {n}-element down-set lattice')
-    return _downset_lattice(_downset_masks(_chain_poset(n - 1)), n)
+    return chain(n, label=f'downsets:{n}')
 
 
 def _random_poset(k, rng):
-    m = np.eye(k, dtype=bool)
+    '''A random poset on k points, as the bitmask of the points below each
+    point; i below j implies i <= j.'''
     density = rng.random()
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rng.random() < density:
-                m[i, j] = True
-    return transitive_closure(OrderRelation(m, check=False)).matrix
+    above = [[j for j in range(i + 1, k) if rng.random() < density] for i in range(k)]
+    below = [1 << i for i in range(k)]
+    for i, ups in enumerate(above):
+        for j in ups:
+            below[j] |= below[i]
+    return below
 
 
-def _chain_poset(k):
-    m = np.ones((k, k), dtype=bool)
-    return np.triu(m)
-
-
-def _downset_masks(poset):
-    'Every down-set of the poset as a bitmask, grown from the empty set.'
-    k = len(poset)
-    below = [sum(1 << i for i in range(k) if poset[i, j]) for j in range(k)]
+def _downset_masks(below, cap):
+    '''Every down-set of the poset `below` as a sorted bitmask list, built
+    point by point, which needs i below j to imply i <= j (see
+    _random_poset); cut short and unsorted once past `cap`.'''
     masks = [0]
-    seen = {0}
-    for mask in masks:
-        for j in range(k):
-            if mask >> j & 1:
-                continue
-            grown = mask | below[j]
-            if grown not in seen:
-                seen.add(grown)
-                masks.append(grown)
+    for j, down in enumerate(below):
+        lower = down ^ 1 << j
+        masks += [m | 1 << j for m in masks if m & lower == lower]
+        if len(masks) > cap:
+            return masks
     return sorted(masks)
 
 
-def _downset_lattice(masks, n):
-    index = {m: i for i, m in enumerate(masks)}
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            leq[i, j] = a & ~b == 0
-    lat = Lattice(leq, label=f'downsets:{n}', check=False)
-    assert lat.is_distributive()
-    return lat
+def _downset_lattice(below, masks):
+    '''Element i is the down-set masks[i] (sorted).  By Birkhoff, order is
+    inclusion, join is OR, meet is AND and c - a is the down-closure of
+    c & ~a, which one pass of ORs builds in place, as each below[j] is
+    down-closed.  Masks fit int64: n <= TABLE_LIMIT keeps them to 22 bits.'''
+    m = np.array(masks, dtype=np.int64)
+    sub = m[:, None] & ~m[None, :]
+    leq = sub == 0
+    for j, down in enumerate(below):
+        sub |= (sub >> j & 1) * down
+    sub = np.searchsorted(m, sub).astype(np.int32)
+    return Lattice(leq, label=f'downsets:{len(m)}',
+                   join_table=np.searchsorted(m, m[:, None] | m[None, :]),
+                   meet_table=np.searchsorted(m, m[:, None] & m[None, :]),
+                   distributive=True, modular=True,
+                   subtraction_fn=lambda c, a: int(sub[c, a]), check=False)
 
 
 @dataclass

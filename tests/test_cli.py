@@ -167,6 +167,39 @@ def test_latgen_all_stdout(capsys):
     assert out.strip().splitlines() == ['size,count', '1,1', '2,1', '3,1']
 
 
+DOWNSETS_12_SEED_3 = """\
+# downsets:12
+12
+0 1
+0 3
+0 6
+1 2
+1 4
+1 7
+2 5
+2 8
+3 4
+3 9
+4 5
+4 10
+5 11
+6 7
+6 9
+7 8
+7 10
+8 11
+9 10
+10 11
+"""
+
+
+def test_latgen_random_distributive_output_is_pinned(capsys):
+    rc, out, _ = run(capsys, 'latgen', 'random', '--distributive',
+                     '--n', '12', '--seed', '3')
+    assert rc == 0
+    assert out == DOWNSETS_12_SEED_3
+
+
 def test_latgen_random_round_trips(capsys, tmp_path):
     rc, out, _ = run(capsys, 'latgen', 'random', '--n', '7', '--seed', '4')
     assert rc == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from latmeet.latgen import (ConjectureReport, EdgeStep, MixedStep, NodeStep,
                             node_steps, random_distributive_lattice,
                             random_lattice, relation_of, to_lattice,
                             transitive_closure)
-from latmeet.lattice import Lattice, chain, m_n, powerset
+from latmeet.lattice import TABLE_LIMIT, Lattice, chain, m_n, powerset
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 
@@ -192,6 +194,66 @@ def test_random_distributive_lattice():
 def test_random_distributive_strict_mode_raises_when_starved():
     with pytest.raises(SizeUnreachableError):
         random_distributive_lattice(7, seed=0, strict=True, attempts=0)
+
+
+@pytest.mark.parametrize('n', [2, 5, 8, 16, 33, 64])
+def test_random_distributive_matches_generic_derivation(n):
+    '''The mask-built tables, preset structure flags and subtraction agree
+    with what the generic table-backed code derives from the same order.'''
+    for seed in range(3):
+        lat = random_distributive_lattice(n, seed=seed)
+        generic = Lattice(lat.leq, label=lat.label)
+        assert np.array_equal(lat.join_table, generic.join_table)
+        assert np.array_equal(lat.meet_table, generic.meet_table)
+        assert generic._scan_distributive() is None
+        assert generic._scan_modular() is None
+        for a in range(n):
+            for c in range(n):
+                candidates = np.flatnonzero(lat.leq[c, generic.join_table[a]])
+                assert lat.subtraction(c, a) == generic.big_meet(candidates)
+
+
+def test_downset_masks_cap_stops_early():
+    '''Each point at most doubles the count, so a cut-short list holds more
+    than `cap` masks but at most twice as many, not 2**20.'''
+    antichain = [1 << i for i in range(20)]
+    assert 64 < len(latgen._downset_masks(antichain, cap=64)) <= 128
+    assert latgen._downset_masks(antichain[:5], cap=32) == list(range(32))
+
+
+def test_random_poset_downsets_match_subset_filter():
+    rng = random.Random(5)
+    for k in range(1, 11):
+        below = latgen._random_poset(k, rng)
+        assert all(below[i] & ~below[j] == 0
+                   for j in range(k) for i in range(k) if below[j] >> i & 1)
+        closed = [s for s in range(1 << k)
+                  if all(below[j] & ~s == 0 for j in range(k) if s >> j & 1)]
+        assert latgen._downset_masks(below, cap=1 << k) == closed
+
+
+def test_random_distributive_when_every_draw_overshoots(monkeypatch):
+    '''Antichain posets on k >= bit_length(n - 1) points have 2**k > n
+    down-sets for these n; at n = 1000 that reaches 2**20 without the cap.'''
+    monkeypatch.setattr(latgen, '_random_poset',
+                        lambda k, rng: [1 << i for i in range(k)])
+    for n in (7, 1000):
+        with pytest.raises(SizeUnreachableError):
+            random_distributive_lattice(n, seed=0, strict=True, attempts=20)
+    fallback = random_distributive_lattice(7, seed=0, attempts=20)
+    assert fallback.label == 'downsets:7'
+    assert np.array_equal(fallback.leq, chain(7).leq)
+
+
+def test_random_distributive_refuses_oversized_n_before_sampling(monkeypatch):
+    def no_sampling(k, rng):
+        raise AssertionError('sampled a poset for an oversized n')
+
+    monkeypatch.setattr(latgen, '_random_poset', no_sampling)
+    n = TABLE_LIMIT + 1
+    with pytest.raises(BudgetExceededError) as err:
+        random_distributive_lattice(n, seed=0)
+    assert str(n) in str(err.value) and str(TABLE_LIMIT) in str(err.value)
 
 
 def _leq_matrix(lat):

@@ -16,6 +16,9 @@ from .lattice import PowersetLattice
 
 ENUM_BUDGET = 10 ** 8
 RETRY_CAP = 10 ** 4
+# Rejection sampling tests at most this many rows * n^2 join-table entries
+# per numpy batch.
+BATCH_ENTRIES = 1 << 16
 
 
 class Endofunction:
@@ -61,9 +64,15 @@ def is_join_endomorphism(f):
             if acc != vals[e]:
                 return False
         return True
-    v = np.asarray(vals, dtype=np.intp)
-    jt = lat.join_table
-    return bool(np.array_equal(v[jt], jt[np.ix_(v, v)]))
+    return bool(_joins_preserved(lat, np.asarray([vals]))[0])
+
+
+def _joins_preserved(lattice, rows):
+    '''Per row of a (B, n) array of values: does the row fix bottom and
+    preserve every binary join?  Table-backed lattices only.'''
+    jt = lattice.join_table
+    ok = rows[:, lattice.bottom] == lattice.bottom
+    return ok & (rows[:, jt] == jt[rows[:, :, None], rows[:, None, :]]).all(axis=(1, 2))
 
 
 def pointwise_leq(f, g):
@@ -114,9 +123,8 @@ def _enumerate(lattice, jirr):
 
     def rec(idx):
         if idx == n:
-            cand = Endofunction(lattice, f)
-            if not validate or _preserves_joins(lattice, f):
-                yield cand
+            if not validate or _joins_preserved(lattice, np.asarray([f]))[0]:
+                yield Endofunction(lattice, f)
             return
         e = order[idx]
         if e == bottom:
@@ -137,14 +145,6 @@ def _enumerate(lattice, jirr):
     return rec(0)
 
 
-def _preserves_joins(lattice, vals):
-    for u in range(lattice.n):
-        for v in range(u, lattice.n):
-            if vals[lattice.join(u, v)] != lattice.join(vals[u], vals[v]):
-                return False
-    return True
-
-
 def count_join_endomorphisms(lattice, budget=ENUM_BUDGET):
     return sum(1 for _ in enumerate_join_endomorphisms(lattice, budget))
 
@@ -154,42 +154,56 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
 
     Draws independent uniform values on the join-irreducibles and extends by
     joins; on distributive lattices every extension is valid.  Elsewhere the
-    extension is rejection-tested and, after `retry_cap` failures, repaired
-    by corrective descent (always terminates at a join-endomorphism).  The
+    extensions are rejection-tested in numpy batches of growing size (1, 4,
+    16, ... rows, capped at BATCH_ENTRIES table entries) and the first valid
+    draw is returned; after `retry_cap` failures the last draw is repaired by
+    corrective descent (always terminates at a join-endomorphism).  The
+    batches consume the random stream exactly as one draw at a time would,
+    so the output for a given seed does not depend on the batching.  The
     resulting distribution over E(L) is NOT uniform in either case.
     '''
     rng = random.Random(seed)
     jirr = lattice.join_irreducibles
-    distributive = lattice.is_distributive()
-    cand = None
-    for _ in range(max(1, retry_cap)):
+    if lattice.is_distributive():
         g = {j: rng.randrange(lattice.n) for j in jirr}
-        cand = Endofunction(lattice, _extend_by_joins(lattice, g))
-        if distributive or is_join_endomorphism(cand):
-            return cand
+        return Endofunction(lattice, _extend_by_joins(lattice, g))
+    n, draws = lattice.n, max(1, retry_cap)
+    jt = lattice.join_table
+    above = [np.flatnonzero(lattice.leq[j]) for j in jirr]
+    max_rows = max(1, BATCH_ENTRIES // (n * n))
+    size, done = 1, 0
+    while done < draws:
+        b = min(size, max_rows, draws - done)
+        g = np.array([rng.randrange(n) for _ in range(b * len(jirr))],
+                     dtype=jt.dtype).reshape(b, len(jirr))
+        rows = np.full((b, n), lattice.bottom, dtype=jt.dtype)
+        for k, cols in enumerate(above):
+            rows[:, cols] = jt[rows[:, cols], g[:, k:k + 1]]
+        hit = np.flatnonzero(_joins_preserved(lattice, rows))
+        if hit.size:
+            return Endofunction(lattice, rows[hit[0]])
+        done += b
+        size *= 4
     if repair:
-        return Endofunction(lattice, _corrective_descent(lattice, list(cand.values)))
+        return Endofunction(lattice, _corrective_descent(lattice, rows[-1].tolist()))
     raise RetryExhaustedError(
         f'{lattice.label}: no join-endomorphism found in {retry_cap} draws')
 
 
 def _extend_by_joins(lattice, g):
-    'f(e) = join of g over the irreducibles below e (bottom for none).'
-    if lattice.is_distributive():
-        # The union identity jdown(a join b) = jdown(a) | jdown(b) lets the
-        # extension run incrementally along covers.
-        vals = [lattice.bottom] * lattice.n
-        for e in lattice.linear_extension():
-            cs = lattice.covers_of(e)
-            if not cs:
-                vals[e] = lattice.bottom
-            elif len(cs) == 1:
-                vals[e] = lattice.join(vals[cs[0]], g[e])
-            else:
-                vals[e] = lattice.join(vals[cs[0]], vals[cs[1]])
-        return vals
-    return [lattice.big_join([g[j] for j in lattice.jdown(e)])
-            for e in range(lattice.n)]
+    '''f(e) = join of g over the irreducibles below e, on a distributive
+    lattice.  The union identity jdown(a join b) = jdown(a) | jdown(b) lets
+    the extension run incrementally along covers.'''
+    vals = [lattice.bottom] * lattice.n
+    for e in lattice.linear_extension():
+        cs = lattice.covers_of(e)
+        if not cs:
+            vals[e] = lattice.bottom
+        elif len(cs) == 1:
+            vals[e] = lattice.join(vals[cs[0]], g[e])
+        else:
+            vals[e] = lattice.join(vals[cs[0]], vals[cs[1]])
+    return vals
 
 
 def _corrective_descent(lattice, vals):

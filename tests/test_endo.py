@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +11,15 @@ from hypothesis import strategies as st
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_POINTWISE_MEET,
                       is_join_endo_by_definition, join_endos_by_definition,
                       modular7, n5)
-from latmeet.endo import (Endofunction, count_join_endomorphisms,
+from latmeet.endo import (Endofunction, _corrective_descent, _joins_preserved,
+                          count_join_endomorphisms,
                           enumerate_join_endomorphisms, format_endofunction,
                           is_join_endomorphism, parse_endofunction,
                           pointwise_join, pointwise_leq, pointwise_meet_many,
                           random_join_endomorphism)
-from latmeet.errors import BudgetExceededError, EmptySetError
-from latmeet.lattice import chain, m_n, powerset, product
+from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
+from latmeet.latgen import random_lattice
+from latmeet.lattice import build, chain, m_n, powerset, product
 
 
 def test_endofunction_validation():
@@ -122,3 +126,145 @@ def test_random_endomorphism_property(seed):
     f = random_join_endomorphism(lat, seed=seed)
     assert is_join_endomorphism(f)
     assert f.values[lat.bottom] == lat.bottom
+
+
+# -- batched rejection sampling ------------------------------------------------
+
+
+def scalar_draws(lat, seed, retry_cap):
+    '''Reference for random_join_endomorphism: one draw at a time, each
+    extended by big_join over jdown and tested by the definition.  Returns
+    (values, accepted); on exhaustion the values are the last draw.'''
+    rng = random.Random(seed)
+    jirr = lat.join_irreducibles
+    vals = None
+    for _ in range(max(1, retry_cap)):
+        g = {j: rng.randrange(lat.n) for j in jirr}
+        vals = [lat.big_join([g[j] for j in lat.jdown(e)]) for e in range(lat.n)]
+        if is_join_endo_by_definition(lat, vals):
+            return tuple(vals), True
+    return tuple(vals), False
+
+
+def scalar_sample(lat, seed, retry_cap):
+    vals, accepted = scalar_draws(lat, seed, retry_cap)
+    return vals if accepted else tuple(_corrective_descent(lat, list(vals)))
+
+
+# random_join_endomorphism(lattice, seed=s).values as returned by the
+# one-draw-at-a-time sampler; the comments give the accepted draw's number.
+GOLDEN_DRAWS = {
+    ('random', 16, 7): {
+        0: (0, 7, 12, 7, 7, 8, 7, 7, 7, 11, 7, 8, 7, 7, 7, 12),                  # 84
+        1: (0, 8, 8, 8, 8, 8, 8, 8, 8, 13, 8, 8, 8, 8, 8, 8),                    # 51
+        2: (0, 1, 1, 1, 1, 1, 1, 1, 1, 11, 1, 1, 1, 1, 1, 1),                    # 9
+    },
+    ('random', 20, 1): {
+        0: (0, 1, 1, 14, 1, 14, 15, 1, 15, 14, 15, 1, 1, 14, 1, 11, 14, 19, 16, 1),  # 685
+        1: (0, 1, 1, 1, 1, 1, 14, 1, 12, 1, 14, 1, 1, 1, 1, 14, 1, 1, 1, 9),      # 603
+        2: (0, 1, 1, 9, 1, 9, 17, 1, 9, 1, 9, 1, 1, 1, 1, 1, 1, 1, 1, 18),        # 803
+    },
+    ('build', 'mn:3*mn:3'): {
+        0: (0, 12, 18, 9, 24, 0, 12, 18, 9, 24, 4, 14, 19, 9, 24,
+            4, 14, 19, 9, 24, 4, 14, 19, 9, 24),                                  # 67
+        1: (0, 23, 10, 23, 23, 22, 24, 22, 24, 24, 16, 24, 21, 24, 24,
+            13, 23, 13, 23, 23, 24, 24, 24, 24, 24),                              # 12
+        2: (0, 22, 24, 1, 24, 1, 24, 24, 1, 24, 11, 24, 24, 11, 24,
+            11, 24, 24, 11, 24, 11, 24, 24, 11, 24),                              # 24
+    },
+    ('build', 'mn:4*chain:3'): {
+        0: (0, 2, 17, 16, 17, 17, 13, 14, 17, 16, 17, 17, 9, 11, 17, 16, 17, 17),  # 86
+        1: (0, 16, 17, 11, 17, 17, 14, 17, 17, 8, 17, 17, 17, 17, 17, 17, 17, 17),  # 16
+        2: (0, 16, 17, 17, 17, 17, 14, 17, 17, 16, 16, 17, 8, 17, 17, 17, 17, 17),  # 3
+        3: (0, 0, 10, 11, 11, 11, 17, 17, 17, 8, 8, 17, 3, 3, 16, 17, 17, 17),      # 54
+    },
+    # Every one of the 10^4 draws fails; corrective descent repairs the last.
+    ('build', 'mn:14*chain:2'): {
+        0: (0, 17) * 16,
+        1: (0, 25) * 16,
+    },
+}
+
+
+def golden_lattice(source):
+    return random_lattice(source[1], seed=source[2]) if source[0] == 'random' \
+        else build(source[1])
+
+
+@pytest.mark.parametrize('source', list(GOLDEN_DRAWS), ids=str)
+def test_random_endomorphism_golden_draws(source):
+    lat = golden_lattice(source)
+    assert not lat.is_distributive()
+    for seed, values in GOLDEN_DRAWS[source].items():
+        assert random_join_endomorphism(lat, seed=seed).values == values, seed
+
+
+def small_lattices():
+    randoms = st.builds(random_lattice, st.integers(min_value=3, max_value=14),
+                        seed=st.integers(min_value=0, max_value=10 ** 6))
+    factors = st.sampled_from(['chain:2', 'chain:3', 'mn:2', 'mn:3', 'mn:4', 'powerset:2'])
+    products = st.builds(lambda a, b: build(f'{a}*{b}'), factors, factors)
+    return st.one_of(randoms, products)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_lattices(), st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=0, max_value=150))
+def test_batched_sampler_matches_scalar_loop(lat, seed, retry_cap):
+    got = random_join_endomorphism(lat, seed=seed, retry_cap=retry_cap)
+    assert got.values == scalar_sample(lat, seed, retry_cap)
+
+
+def test_retry_exhausted_names_lattice_and_cap():
+    lat = build('mn:14*chain:2')
+    with pytest.raises(RetryExhaustedError,
+                       match=r'product\(mn:14,chain:2\): .* in 5 draws'):
+        random_join_endomorphism(lat, seed=3, retry_cap=5, repair=False)
+
+
+def test_retry_cap_zero_still_draws_once():
+    lat = build('mn:3*mn:3')
+    first, accepted = scalar_draws(lat, 1, 1)
+    assert not accepted
+    f = random_join_endomorphism(lat, seed=1, retry_cap=0)
+    assert f.values == tuple(_corrective_descent(lat, list(first)))
+    assert f.values == (0, 4, 18, 19, 19, 0, 4, 18, 19, 19, 3, 4, 18, 19, 19,
+                        3, 4, 18, 19, 19, 3, 4, 18, 19, 19)
+    with pytest.raises(RetryExhaustedError, match='in 0 draws'):
+        random_join_endomorphism(lat, seed=1, retry_cap=0, repair=False)
+    # A first draw that passes is returned even with no retries left.
+    lat = random_lattice(20, seed=0)
+    first, accepted = scalar_draws(lat, 0, 1)
+    assert accepted
+    assert random_join_endomorphism(lat, seed=0, retry_cap=0, repair=False).values == first
+
+
+def test_cap_inside_a_batch_repairs_the_cap_th_draw():
+    # mn:3*mn:3 at seed 1 first accepts draw 12, inside the third batch
+    # (draws 6..21).  Caps 11 and 12 cut that batch short.
+    lat = build('mn:3*mn:3')
+    draw11, accepted = scalar_draws(lat, 1, 11)
+    assert not accepted
+    repaired = random_join_endomorphism(lat, seed=1, retry_cap=11)
+    assert repaired.values == tuple(_corrective_descent(lat, list(draw11)))
+    assert repaired.values == (0, 0, 5, 5, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+                               3, 3, 8, 8, 8, 8, 8, 8, 8, 8)
+    for cap in (12, 13):
+        assert random_join_endomorphism(lat, seed=1, retry_cap=cap).values \
+            == GOLDEN_DRAWS[('build', 'mn:3*mn:3')][1]
+    # Batches of 1, 4 and 16 rows: a cap of 7 draws cuts the third to two.
+    lat = build('mn:14*chain:2')
+    repaired = random_join_endomorphism(lat, seed=3, retry_cap=7)
+    assert repaired.values == (0, 24) * 16 == scalar_sample(lat, 3, 7)
+
+
+def test_joins_preserved_rows_match_definition():
+    rng = np.random.default_rng(5)
+    for lat in (n5(), modular7(), m_n(3), product(chain(2), m_n(3))):
+        endos = [f.values for f in itertools.islice(enumerate_join_endomorphisms(lat), 100)]
+        # Constant maps preserve joins but move bottom unless they are bottom.
+        constants = np.repeat(np.arange(lat.n)[:, None], lat.n, axis=1)
+        rows = np.vstack([endos, constants, rng.integers(0, lat.n, size=(200, lat.n))])
+        rows[-100:, lat.bottom] = lat.bottom
+        want = [is_join_endo_by_definition(lat, tuple(r)) for r in rows]
+        assert _joins_preserved(lat, rows).tolist() == want

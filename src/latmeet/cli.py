@@ -16,11 +16,12 @@ import time
 from pathlib import Path
 
 from . import counting, latgen, morphology
-from .endo import (count_join_endomorphisms, format_endofunction,
+from .endo import (count_join_endomorphisms, enumerable, format_endofunction,
                    is_join_endomorphism, parse_endofunction,
                    random_join_endomorphism)
-from .errors import LatmeetError
-from .glb import brute_force_meet, meet_algorithms
+from .errors import (BudgetExceededError, LatmeetError, NotDistributiveError,
+                     NotModularError)
+from .glb import brute_force_meet, check_precondition, meet_algorithms
 from .lattice import build, write_cover_file
 
 BENCH_HEADER = '# latmeet bench csv v1'
@@ -95,13 +96,13 @@ def _build_parser():
     count_sub = p.add_subparsers(dest='what', required=True)
     q = count_sub.add_parser('mn', parents=[common])
     q.add_argument('--n', type=int, required=True, help='number of middle elements')
-    q.set_defaults(func=cmd_count_mn)
+    q.set_defaults(func=cmd_count)
     q = count_sub.add_parser('powerset', parents=[common])
     q.add_argument('--m', type=int, required=True, help='number of generators')
-    q.set_defaults(func=cmd_count_powerset)
+    q.set_defaults(func=cmd_count)
     q = count_sub.add_parser('linear', parents=[common])
     q.add_argument('--n', type=int, required=True, help='number of chain elements')
-    q.set_defaults(func=cmd_count_linear)
+    q.set_defaults(func=cmd_count)
     q = count_sub.add_parser('bounds', parents=[common])
     q.add_argument('--max-n', type=int, default=5, help='largest lattice size')
     q.set_defaults(func=cmd_count_bounds)
@@ -207,7 +208,10 @@ def cmd_bench(args):
                                                seed=derive_seed(case_seed, 'endo', i))
                       for i in range(args.endos)]
                 for alg in algs:
-                    if not _applicable(alg, lattice):
+                    try:
+                        check_precondition(alg, lattice, budget=ENUM_CAP)
+                    except (BudgetExceededError, NotDistributiveError,
+                            NotModularError):
                         print(f'note: {alg} skipped on {lattice.label} '
                               '(precondition not met)', file=sys.stderr)
                         continue
@@ -241,61 +245,29 @@ def _bench_lattice(family, size, case_seed):
     raise ValueError(f'unknown lattice family {family!r}')
 
 
-def _applicable(alg, lattice):
-    if alg in ('a1', 'dmeet', 'dmeet+'):
-        return lattice.is_distributive()
-    if alg == 'gmeet+mod':
-        return lattice.is_modular()
-    if alg == 'brute':
-        return lattice.n ** len(lattice.join_irreducibles) <= ENUM_CAP
-    return True
-
-
 # -- count --------------------------------------------------------------------
 
 
-def cmd_count_mn(args):
-    k = args.n
-    formula = counting.count_mn(k)
-    lattice = build(f'mn:{k}')
-    if _enumerable(lattice, args.budget):
-        enumerated = count_join_endomorphisms(lattice, args.budget)
-        families = counting.construct_families(k)
-        cols = [str(enumerated)] + [str(len(f)) for f in families]
+def cmd_count(args):
+    '''One row: label, n, closed-form count, then (within the budget) the
+    enumerated count and, for M_n, the sizes of its four families.'''
+    if args.what == 'mn':
+        formula, spec = counting.count_mn(args.n), f'mn:{args.n}'
+    elif args.what == 'powerset':
+        formula, spec = counting.count_powerset(args.m), f'powerset:{args.m}'
     else:
-        cols = [''] * 5
-    _emit([','.join([f'M_{k}', str(lattice.n), str(formula), *cols])], args.out)
+        if args.n < 1:
+            raise ValueError('a chain needs at least one element')
+        formula, spec = counting.count_linear(args.n - 1), f'chain:{args.n}'
+    lattice = build(spec)
+    cols = [''] * 5
+    if enumerable(lattice, min(args.budget, ENUM_CAP)):
+        cols[0] = str(count_join_endomorphisms(lattice, args.budget))
+        if args.what == 'mn':
+            cols[1:] = [str(len(f)) for f in counting.construct_families(args.n)]
+    label = f'M_{args.n}' if args.what == 'mn' else spec
+    _emit([','.join([label, str(lattice.n), str(formula), *cols])], args.out)
     return 0
-
-
-def cmd_count_powerset(args):
-    m = args.m
-    formula = counting.count_powerset(m)
-    lattice = build(f'powerset:{m}')
-    enumerated = ''
-    if _enumerable(lattice, args.budget):
-        enumerated = str(count_join_endomorphisms(lattice, args.budget))
-    _emit([','.join([f'powerset:{m}', str(lattice.n), str(formula), enumerated,
-                     '', '', '', ''])], args.out)
-    return 0
-
-
-def cmd_count_linear(args):
-    n = args.n
-    if n < 1:
-        raise ValueError('a chain needs at least one element')
-    formula = counting.count_linear(n - 1)
-    lattice = build(f'chain:{n}')
-    enumerated = ''
-    if _enumerable(lattice, args.budget):
-        enumerated = str(count_join_endomorphisms(lattice, args.budget))
-    _emit([','.join([f'chain:{n}', str(n), str(formula), enumerated,
-                     '', '', '', ''])], args.out)
-    return 0
-
-
-def _enumerable(lattice, budget):
-    return lattice.n ** len(lattice.join_irreducibles) <= min(budget, ENUM_CAP)
 
 
 def cmd_count_bounds(args):

@@ -108,10 +108,15 @@ def enumerate_join_endomorphisms(lattice, budget=ENUM_BUDGET):
     the budget.  Non-modular lattices get a final validation pass.
     '''
     jirr = lattice.join_irreducibles
-    if lattice.n ** len(jirr) > budget:
+    if not enumerable(lattice, budget):
         raise BudgetExceededError(
             f'{lattice.label}: n^|J| = {lattice.n}^{len(jirr)} exceeds budget {budget}')
     return _enumerate(lattice, set(jirr))
+
+
+def enumerable(lattice, budget=ENUM_BUDGET):
+    'True when the candidate space n^|J(L)| of the enumeration fits the budget.'
+    return lattice.n ** len(lattice.join_irreducibles) <= budget
 
 
 def _enumerate(lattice, jirr):
@@ -157,8 +162,8 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
     extensions are rejection-tested in numpy batches of growing size (1, 4,
     16, ... rows, capped at BATCH_ENTRIES table entries) and the first valid
     draw is returned; after `retry_cap` failures the last draw is repaired by
-    corrective descent (always terminates at a join-endomorphism).  The
-    batches consume the random stream exactly as one draw at a time would,
+    gmeet's rescan-and-repair loop, which always ends at a join-endomorphism.
+    The batches consume the random stream exactly as one draw at a time would,
     so the output for a given seed does not depend on the batching.  The
     resulting distribution over E(L) is NOT uniform in either case.
     '''
@@ -185,7 +190,8 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
         done += b
         size *= 4
     if repair:
-        return Endofunction(lattice, _corrective_descent(lattice, rows[-1].tolist()))
+        from .glb import gmeet
+        return gmeet(lattice, [Endofunction(lattice, rows[-1])]).endofunction
     raise RetryExhaustedError(
         f'{lattice.label}: no join-endomorphism found in {retry_cap} draws')
 
@@ -204,30 +210,6 @@ def _extend_by_joins(lattice, g):
         else:
             vals[e] = lattice.join(vals[cs[0]], vals[cs[1]])
     return vals
-
-
-def _corrective_descent(lattice, vals):
-    'Lower values until all joins are preserved; strictly decreasing, so it terminates.'
-    n = lattice.n
-    while True:
-        hit = None
-        for u in range(n):
-            for v in range(u, n):
-                w = lattice.join(u, v)
-                j = lattice.join(vals[u], vals[v])
-                if j != vals[w]:
-                    hit = (u, v, w, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return vals
-        u, v, w, j = hit
-        if lattice.le(j, vals[w]):
-            vals[w] = j
-        else:
-            vals[u] = lattice.meet(vals[u], vals[w])
-            vals[v] = lattice.meet(vals[v], vals[w])
 
 
 # -- text format -----------------------------------------------------------------

@@ -12,15 +12,18 @@ meet.  Six routes compute it:
   gmeet_plus         same, with support/conflict/failure bookkeeping
 
 a1/dmeet/dmeet_plus require a distributive lattice; gmeet_plus_modular runs
-gmeet_plus over cover pairs only, which is sound on modular lattices.  Every
-algorithm reports how many binary lattice operations it performed and, for
-the iterative ones, how many times sigma strictly decreased at an element.
+gmeet_plus over cover pairs only, which is sound on modular lattices.  ROUTES
+is the one table of routes and the domain each requires; check_precondition
+raises the typed error for a lattice outside it.  Every algorithm reports
+how many binary lattice operations it performed and, for the iterative
+ones, how many times sigma strictly decreased at an element.
 '''
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .endo import Endofunction, enumerate_join_endomorphisms, pointwise_leq
+from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
+                   pointwise_leq)
 from .errors import (BudgetExceededError, EmptySetError, NotDistributiveError,
                      NotModularError, StructureError)
 
@@ -43,19 +46,6 @@ class MeetResult:
         return sum(self.op_counts.values())
 
 
-def meet_algorithms():
-    'Algorithm name -> callable(lattice, fs) for every implemented route.'
-    return {
-        'brute': brute_force_meet,
-        'a1': a1_naive,
-        'dmeet': dmeet,
-        'dmeet+': dmeet_plus,
-        'gmeet': gmeet,
-        'gmeet+': gmeet_plus,
-        'gmeet+mod': gmeet_plus_modular,
-    }
-
-
 def _prep(lattice, fs, algorithm):
     if not fs:
         raise EmptySetError(f'{algorithm}: the family S must be nonempty')
@@ -65,14 +55,9 @@ def _prep(lattice, fs, algorithm):
     return lattice.instrumented_view()
 
 
-def _require_distributive(lattice, algorithm):
-    if not lattice.is_distributive():
-        raise NotDistributiveError(
-            f'{algorithm} requires a distributive lattice; {lattice.label} is not')
-
-
-def brute_force_meet(lattice, fs, budget=10 ** 8):
-    'Join of every join-endomorphism below all of S.  Exponential; the oracle.'
+def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
+    '''Join of every join-endomorphism below all of S.  Exponential; the oracle.
+    The enumeration itself refuses a space above the budget.'''
     view = _prep(lattice, fs, 'brute')
     vals = [lattice.bottom] * lattice.n
     for g in enumerate_join_endomorphisms(lattice, budget):
@@ -83,7 +68,7 @@ def brute_force_meet(lattice, fs, budget=10 ** 8):
 
 def a1_naive(lattice, fs):
     'h(c) = meet of f(a) join g(b) over every pair with a join b >= c.'
-    _require_distributive(lattice, 'a1')
+    check_precondition('a1', lattice)
     view = _prep(lattice, fs, 'a1')
     out = fs[0]
     for g in fs[1:]:
@@ -108,7 +93,7 @@ def _a1_pair(view, f, g):
 
 def dmeet(lattice, fs):
     'h(c) = meet of f(a) join g(c - a) over a <= c, using co-Heyting subtraction.'
-    _require_distributive(lattice, 'dmeet')
+    check_precondition('dmeet', lattice)
     view = _prep(lattice, fs, 'dmeet')
     out = fs[0]
     for g in fs[1:]:
@@ -135,7 +120,7 @@ def dmeet_plus(lattice, fs):
     element (its value is the join at two covered elements, memoized in a
     linear-extension pass).
     '''
-    _require_distributive(lattice, 'dmeet+')
+    check_precondition('dmeet+', lattice)
     view = _prep(lattice, fs, 'dmeet+')
     out = fs[0]
     for g in fs[1:]:
@@ -321,11 +306,15 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     reduction ("reduce") and bucket transition ("move").
     '''
     view = _prep(lattice, fs, _tag)
+    n = lattice.n
+    if pair_universe == ALL_PAIRS and n * (n - 1) // 2 > max_pairs:
+        # Counted before the O(n^2) list is built.
+        raise BudgetExceededError(
+            f'{_tag}: {n * (n - 1) // 2} pairs exceed max_pairs={max_pairs}')
     pairs = _pair_universe(lattice, pair_universe)
     if len(pairs) > max_pairs:
         raise BudgetExceededError(
             f'{_tag}: {len(pairs)} pairs exceed max_pairs={max_pairs}')
-    n = lattice.n
     sigma = [view.big_meet([f.values[u] for f in fs]) for u in range(n)]
     state = GMeetState(view, sigma, pairs)
     reductions = 0
@@ -389,11 +378,42 @@ def gmeet_plus_modular(lattice, fs, on_event=None, max_pairs=MAX_PAIRS):
     pairs within each cover set is already a join-endomorphism, so the
     restricted pair universe suffices.
     '''
-    if not lattice.is_modular():
-        raise NotModularError(
-            f'gmeet+mod requires a modular lattice; {lattice.label} is not')
+    check_precondition('gmeet+mod', lattice)
     return gmeet_plus(lattice, fs, pair_universe=COVER_PAIRS, on_event=on_event,
                       max_pairs=max_pairs, _tag='gmeet+mod')
+
+
+# Route name -> (callable(lattice, fs), the domain it requires).  README's
+# "Meet algorithms" table shows the same column.
+ROUTES = {
+    'brute': (brute_force_meet, 'enumerable'),
+    'a1': (a1_naive, 'distributive'),
+    'dmeet': (dmeet, 'distributive'),
+    'dmeet+': (dmeet_plus, 'distributive'),
+    'gmeet': (gmeet, 'any'),
+    'gmeet+': (gmeet_plus, 'any'),
+    'gmeet+mod': (gmeet_plus_modular, 'modular'),
+}
+
+
+def meet_algorithms():
+    'Algorithm name -> callable(lattice, fs) for every implemented route.'
+    return {name: fn for name, (fn, _) in ROUTES.items()}
+
+
+def check_precondition(algorithm, lattice, budget=ENUM_BUDGET):
+    '''Raise NotDistributiveError, NotModularError or (for an enumerable
+    space of more than `budget` candidates) BudgetExceededError when the
+    lattice lies outside the route's domain.'''
+    requires = ROUTES[algorithm][1]
+    if requires == 'enumerable':
+        enumerate_join_endomorphisms(lattice, budget)  # refuses before yielding
+    elif requires == 'distributive' and not lattice.is_distributive():
+        raise NotDistributiveError(
+            f'{algorithm} requires a distributive lattice; {lattice.label} is not')
+    elif requires == 'modular' and not lattice.is_modular():
+        raise NotModularError(
+            f'{algorithm} requires a modular lattice; {lattice.label} is not')
 
 
 def _pair_universe(lattice, kind):
@@ -413,10 +433,5 @@ def _pair_universe(lattice, kind):
 def verify_01_relations_preserving(lattice, f):
     'True when f preserves the join of every pair within every cover set.'
     vals = f.values
-    for c in range(lattice.n):
-        cs = lattice.cover_set(c)
-        for i, a in enumerate(cs):
-            for b in cs[i + 1:]:
-                if vals[lattice.join(a, b)] != lattice.join(vals[a], vals[b]):
-                    return False
-    return True
+    return all(vals[lattice.join(a, b)] == lattice.join(vals[a], vals[b])
+               for a, b in _pair_universe(lattice, COVER_PAIRS))

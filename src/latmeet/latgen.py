@@ -78,12 +78,6 @@ class NodeStep:
     above: int
 
 
-@dataclass(frozen=True)
-class MixedStep:
-    node: NodeStep
-    edge: EdgeStep
-
-
 def transitive_closure(rel):
     'Close under composition; a 2-cycle in the closure is an error.'
     m = _transitive_closure_matrix(rel.matrix)
@@ -173,8 +167,6 @@ def augment(rel, step):
         m[step.below, n] = True
         m[n, step.above] = True
         return _close_checked(m, step)
-    if isinstance(step, MixedStep):
-        return augment(augment(rel, step.node), step.edge)
     raise TypeError(f'not an augmentation step: {step!r}')
 
 

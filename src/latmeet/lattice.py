@@ -156,9 +156,6 @@ class Lattice(LatticeBase):
         'Elements covered by a (lower covers), ascending.'
         return tuple(int(b) for b in np.flatnonzero(self._cover_matrix[:, a]))
 
-    def upper_covers_of(self, a):
-        return tuple(int(b) for b in np.flatnonzero(self._cover_matrix[a, :]))
-
     def cover_edges(self):
         'All pairs (a, b) with b covering a, lexicographic.'
         return [(int(a), int(b)) for a, b in zip(*np.nonzero(self._cover_matrix))]
@@ -261,9 +258,6 @@ class PowersetLattice(LatticeBase):
     def covers_of(self, a):
         return tuple(sorted(a ^ (1 << i) for i in range(self.m) if a >> i & 1))
 
-    def upper_covers_of(self, a):
-        return tuple(sorted(a | (1 << i) for i in range(self.m) if not a >> i & 1))
-
     def cover_edges(self):
         return sorted((b, a) for a in range(self.n) for b in self.covers_of(a))
 
@@ -275,14 +269,7 @@ class PowersetLattice(LatticeBase):
         return tuple(1 << i for i in range(self.m) if c >> i & 1)
 
     def down_set(self, c):
-        subs = []
-        s = c
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & c
-        return tuple(sorted(subs))
+        return tuple(sorted(self._submasks(c)))
 
     def up_set(self, a):
         free = self.top & ~a
@@ -347,10 +334,6 @@ class OpCountingLattice:
     def __init__(self, lattice):
         self.lattice = lattice
         self.counts = {'join': 0, 'meet': 0, 'subtraction': 0}
-
-    def reset(self):
-        for k in self.counts:
-            self.counts[k] = 0
 
     def join(self, a, b):
         self.counts['join'] += 1

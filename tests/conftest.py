@@ -190,6 +190,18 @@ def meet_cases():
     return build_meet_cases()
 
 
+def route_applies(lat, name):
+    'True when the route table in glb admits the lattice for route `name`.'
+    from latmeet.errors import (BudgetExceededError, NotDistributiveError,
+                                NotModularError)
+    from latmeet.glb import check_precondition
+    try:
+        check_precondition(name, lat)
+    except (BudgetExceededError, NotDistributiveError, NotModularError):
+        return False
+    return True
+
+
 def brute_of(case):
     from latmeet.glb import brute_force_meet
     if case['brute'] is None:

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import (brute_of, join_endos_by_definition,
-                      lattice_classes_by_brute_force)
+                      lattice_classes_by_brute_force, route_applies)
 from latmeet.counting import (construct_families, count_linear, count_mn,
                               count_non_reducing_mn, count_powerset,
                               laguerre_at_minus_one_times_factorial,
@@ -111,21 +111,13 @@ def test_06_all_algorithms_match_brute_oracle(capsys, meet_cases):
             lat, fs = case['lattice'], case['fs']
             expected = brute_of(case).endofunction.values
             for name, algorithm in algorithms.items():
-                if name == 'brute' or not _applicable(lat, name):
+                if name == 'brute' or not route_applies(lat, name):
                     continue
                 ran[name] += 1
                 got = algorithm(lat, fs).endofunction.values
                 mismatches += got != expected
         assert mismatches == 0
         assert all(ran[name] > 0 for name in algorithms if name != 'brute')
-
-
-def _applicable(lat, name):
-    if name in ('a1', 'dmeet', 'dmeet+'):
-        return lat.is_distributive()
-    if name == 'gmeet+mod':
-        return lat.is_modular()
-    return True
 
 
 def test_07_update_invariants(capsys, meet_cases):

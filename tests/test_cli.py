@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import M3_F, M3_G
+from conftest import M3_F, M3_G, N5_COVERS
 from latmeet.cli import BENCH_COLUMNS, BENCH_HEADER, derive_seed, main
 from latmeet.lattice import read_cover_file
 
@@ -11,6 +11,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def strip_wall(text):
+    'Bench CSV lines with the wall_time_s column blanked.'
+    rows = []
+    for ln in text.splitlines():
+        cols = ln.split(',')
+        if len(cols) == 10 and not ln.startswith('#'):
+            cols[8] = ''
+        rows.append(','.join(cols))
+    return rows
 
 
 def test_derive_seed_is_pinned():
@@ -96,16 +107,6 @@ def test_bench_is_deterministic_apart_from_wall_time(capsys, tmp_path):
     rc1, out1, _ = run(capsys, *argv)
     rc2, out2, _ = run(capsys, *argv)
     assert rc1 == rc2 == 0
-
-    def strip_wall(text):
-        rows = []
-        for ln in text.splitlines():
-            cols = ln.split(',')
-            if len(cols) == 10 and not ln.startswith('#'):
-                cols[8] = ''
-            rows.append(','.join(cols))
-        return rows
-
     assert strip_wall(out1) == strip_wall(out2)
     out_file = tmp_path / 'bench.csv'
     rc3, out3, _ = run(capsys, *argv, '--out', str(out_file))
@@ -311,3 +312,83 @@ def test_binary_image_is_rejected_cleanly(capsys, tmp_path):
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# -- pinned output of precondition refusals, bench skips and count rows ----------
+
+
+@pytest.mark.parametrize('alg', ['a1', 'dmeet', 'dmeet+'])
+def test_meet_refusal_on_non_distributive_lattice_is_pinned(capsys, alg):
+    assert run(capsys, 'meet', '--alg', alg, '--lattice', 'mn:3', '--random', '2') \
+        == (1, '', f'error: {alg} requires a distributive lattice; mn:3 is not\n')
+
+
+def test_meet_refusal_on_non_modular_lattice_is_pinned(capsys, tmp_path):
+    path = tmp_path / 'n5.txt'
+    path.write_text('5\n' + ''.join(f'{a} {b}\n' for a, b in N5_COVERS))
+    spec = f'file:{path}'
+    assert run(capsys, 'meet', '--alg', 'gmeet+mod', '--lattice', spec, '--random', '2') \
+        == (1, '', f'error: gmeet+mod requires a modular lattice; {spec} is not\n')
+
+
+def test_bench_skip_notes_are_pinned(capsys):
+    rc, out, err = run(capsys, 'bench', '--families', 'mn', '--sizes', '5',
+                       '--algs', 'dmeet+,gmeet+mod,brute')
+    assert rc == 0
+    assert out.splitlines()[:2] == [BENCH_HEADER, BENCH_COLUMNS]
+    assert strip_wall(out)[2:] == [
+        'mn:3,5,2,gmeet+mod,31,32,0,4,,17491093503437968840',
+        'mn:3,5,2,brute,5,0,0,0,,17491093503437968840']
+    assert err == 'note: dmeet+ skipped on mn:3 (precondition not met)\n'
+
+
+def test_bench_skips_every_kind_of_precondition(capsys):
+    # brute needs n^|J| <= 10^6; a1 a distributive and gmeet+mod a modular lattice.
+    rc, out, err = run(capsys, 'bench', '--families', 'powerset,chain,random',
+                       '--sizes', '8,32', '--algs', 'brute,a1,gmeet+mod')
+    assert rc == 0
+    assert out.splitlines()[:2] == [BENCH_HEADER, BENCH_COLUMNS]
+    assert strip_wall(out)[2:] == [
+        'powerset:3,8,2,brute,128,0,0,0,,7596376693563336289',
+        'powerset:3,8,2,a1,855,343,0,0,,7596376693563336289',
+        'powerset:3,8,2,gmeet+mod,36,16,0,0,,7596376693563336289',
+        'powerset:5,32,2,a1,49575,16807,0,0,,2227736892811475115',
+        'powerset:5,32,2,gmeet+mod,384,88,0,5,,2227736892811475115',
+        'chain:8,8,2,a1,884,372,0,0,,14256196701100253205',
+        'chain:8,8,2,gmeet+mod,14,16,0,0,,14256196701100253205',
+        'chain:32,32,2,a1,55120,22352,0,0,,10211830049373077646',
+        'chain:32,32,2,gmeet+mod,62,64,0,0,,10211830049373077646',
+        'random:8,8,2,brute,48,0,0,0,,13289415870774394648']
+    assert err == ''.join(f'note: {alg} skipped on {label} (precondition not met)\n'
+                          for alg, label in [
+                              ('brute', 'powerset:5'), ('brute', 'chain:8'),
+                              ('brute', 'chain:32'), ('a1', 'random:8'),
+                              ('gmeet+mod', 'random:8'), ('brute', 'random:32'),
+                              ('a1', 'random:32'), ('gmeet+mod', 'random:32')])
+
+
+@pytest.mark.parametrize('argv, expected', [
+    (['mn', '--n', '3', '--budget', '10'], 'M_3,5,50,,,,,\n'),
+    (['mn', '--n', '3', '--budget', '124'], 'M_3,5,50,,,,,\n'),
+    (['mn', '--n', '3', '--budget', '125'], 'M_3,5,50,50,1,12,3,34\n'),
+    (['mn', '--n', '0'], 'M_0,2,2,2,1,0,0,1\n'),
+    (['mn', '--n', '7'], 'M_7,9,130986,,,,,\n'),
+    (['powerset', '--m', '3', '--budget', '10'], 'powerset:3,8,512,,,,,\n'),
+    (['powerset', '--m', '0'], 'powerset:0,1,1,1,,,,\n'),
+    (['powerset', '--m', '5'], 'powerset:5,32,33554432,,,,,\n'),
+    (['linear', '--n', '4', '--budget', '10'], 'chain:4,4,20,,,,,\n'),
+    (['linear', '--n', '1'], 'chain:1,1,1,1,,,,\n'),
+    (['linear', '--n', '12'], 'chain:12,12,705432,,,,,\n'),
+], ids=lambda v: ' '.join(v) if isinstance(v, list) else '')
+def test_count_rows_are_pinned(capsys, argv, expected):
+    assert run(capsys, 'count', *argv) == (0, expected, '')
+
+
+@pytest.mark.parametrize('argv, message', [
+    (['linear', '--n', '0'], 'a chain needs at least one element'),
+    (['linear', '--n', '-1'], 'a chain needs at least one element'),
+    (['mn', '--n', '-1'], 'n must be nonnegative, got -1'),
+    (['powerset', '--m', '-1'], 'm must be nonnegative, got -1'),
+], ids=lambda v: ' '.join(v) if isinstance(v, list) else '')
+def test_count_refusals_are_pinned(capsys, argv, message):
+    assert run(capsys, 'count', *argv) == (1, '', f'error: {message}\n')

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_POINTWISE_MEET,
                       is_join_endo_by_definition, join_endos_by_definition,
                       modular7, n5)
-from latmeet.endo import (Endofunction, _corrective_descent, _joins_preserved,
+from latmeet.endo import (Endofunction, _joins_preserved,
                           count_join_endomorphisms,
                           enumerate_join_endomorphisms, format_endofunction,
                           is_join_endomorphism, parse_endofunction,
                           pointwise_join, pointwise_leq, pointwise_meet_many,
                           random_join_endomorphism)
 from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
+from latmeet.glb import gmeet
 from latmeet.latgen import random_lattice
 from latmeet.lattice import build, chain, m_n, powerset, product
 
@@ -146,9 +147,35 @@ def scalar_draws(lat, seed, retry_cap):
     return tuple(vals), False
 
 
+def corrective_descent(lat, vals):
+    '''Reference repair: rescan pairs u <= v lexicographically and fix the
+    first violated join, lowering values until every join is preserved.'''
+    vals = list(vals)
+    n = lat.n
+    while True:
+        hit = None
+        for u in range(n):
+            for v in range(u, n):
+                w = lat.join(u, v)
+                j = lat.join(vals[u], vals[v])
+                if j != vals[w]:
+                    hit = (u, v, w, j)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return tuple(vals)
+        u, v, w, j = hit
+        if lat.le(j, vals[w]):
+            vals[w] = j
+        else:
+            vals[u] = lat.meet(vals[u], vals[w])
+            vals[v] = lat.meet(vals[v], vals[w])
+
+
 def scalar_sample(lat, seed, retry_cap):
     vals, accepted = scalar_draws(lat, seed, retry_cap)
-    return vals if accepted else tuple(_corrective_descent(lat, list(vals)))
+    return vals if accepted else corrective_descent(lat, vals)
 
 
 # random_join_endomorphism(lattice, seed=s).values as returned by the
@@ -215,6 +242,18 @@ def test_batched_sampler_matches_scalar_loop(lat, seed, retry_cap):
     assert got.values == scalar_sample(lat, seed, retry_cap)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_gmeet_repairs_any_bottom_fixed_map_like_corrective_descent(data):
+    lat = data.draw(small_lattices())
+    vals = data.draw(st.lists(st.integers(min_value=0, max_value=lat.n - 1),
+                              min_size=lat.n, max_size=lat.n))
+    vals[lat.bottom] = lat.bottom
+    got = gmeet(lat, [Endofunction(lat, vals)]).endofunction
+    assert got.values == corrective_descent(lat, vals)
+    assert is_join_endomorphism(got)
+
+
 def test_retry_exhausted_names_lattice_and_cap():
     lat = build('mn:14*chain:2')
     with pytest.raises(RetryExhaustedError,
@@ -227,7 +266,7 @@ def test_retry_cap_zero_still_draws_once():
     first, accepted = scalar_draws(lat, 1, 1)
     assert not accepted
     f = random_join_endomorphism(lat, seed=1, retry_cap=0)
-    assert f.values == tuple(_corrective_descent(lat, list(first)))
+    assert f.values == corrective_descent(lat, first)
     assert f.values == (0, 4, 18, 19, 19, 0, 4, 18, 19, 19, 3, 4, 18, 19, 19,
                         3, 4, 18, 19, 19, 3, 4, 18, 19, 19)
     with pytest.raises(RetryExhaustedError, match='in 0 draws'):
@@ -246,7 +285,7 @@ def test_cap_inside_a_batch_repairs_the_cap_th_draw():
     draw11, accepted = scalar_draws(lat, 1, 11)
     assert not accepted
     repaired = random_join_endomorphism(lat, seed=1, retry_cap=11)
-    assert repaired.values == tuple(_corrective_descent(lat, list(draw11)))
+    assert repaired.values == corrective_descent(lat, draw11)
     assert repaired.values == (0, 0, 5, 5, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
                                3, 3, 8, 8, 8, 8, 8, 8, 8, 8)
     for cap in (12, 13):

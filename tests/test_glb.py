@@ -1,29 +1,26 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_GLB, M3_F, M3_G, M3_GLB,
                       M3_POINTWISE_MEET, MODULAR7_F, MODULAR7_G, MODULAR7_GLB,
-                      MODULAR7_SIGMA_MISMATCHES, brute_of, modular7, n5)
+                      MODULAR7_SIGMA_MISMATCHES, brute_of, modular7, n5,
+                      route_applies)
 from latmeet.endo import (Endofunction, is_join_endomorphism,
                           pointwise_leq, random_join_endomorphism)
 from latmeet.errors import (BudgetExceededError, EmptySetError,
                             NotDistributiveError, NotModularError)
-from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, MeetResult, a1_naive,
-                         brute_force_meet, dmeet, dmeet_plus, gmeet,
-                         gmeet_plus, gmeet_plus_modular, meet_algorithms,
-                         verify_01_relations_preserving)
-from latmeet.lattice import chain, m_n, powerset
+from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, ROUTES, MeetResult, a1_naive,
+                         brute_force_meet, check_precondition, dmeet,
+                         dmeet_plus, gmeet, gmeet_plus, gmeet_plus_modular,
+                         meet_algorithms, verify_01_relations_preserving)
+from latmeet.lattice import build, chain, m_n, powerset
 
 ALL_ALGS = ('brute', 'a1', 'dmeet', 'dmeet+', 'gmeet', 'gmeet+', 'gmeet+mod')
-
-
-def _applicable(lat, name):
-    if name in ('a1', 'dmeet', 'dmeet+'):
-        return lat.is_distributive()
-    if name == 'gmeet+mod':
-        return lat.is_modular()
-    return True
 
 
 def _run(lat, name, fs):
@@ -86,7 +83,7 @@ def test_all_algorithms_match_brute_on_named_lattices():
                   for k in range(1 + seed % 3)]
             expected = brute_force_meet(lat, fs).endofunction.values
             for name in ALL_ALGS[1:]:
-                if _applicable(lat, name):
+                if route_applies(lat, name):
                     got = _run(lat, name, fs).endofunction.values
                     assert got == expected, (lat.label, name, seed)
 
@@ -119,6 +116,78 @@ def test_pair_budget_guard():
         gmeet(lat, fs, max_pairs=3)
     with pytest.raises(BudgetExceededError):
         gmeet_plus(lat, fs, max_pairs=3)
+
+
+def test_gmeet_plus_refuses_all_pairs_before_building_them():
+    lat = powerset(10)
+    fs = [random_join_endomorphism(lat, seed=k) for k in range(2)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=r'^gmeet\+: 523776 pairs exceed max_pairs=1000$'):
+            gmeet_plus(lat, fs, max_pairs=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_meet_algorithms_is_a_view_of_the_route_table():
+    algorithms = meet_algorithms()
+    assert list(algorithms) == list(ALL_ALGS) == list(ROUTES)
+    assert [algorithms[name] for name in ALL_ALGS] == [
+        brute_force_meet, a1_naive, dmeet, dmeet_plus, gmeet, gmeet_plus,
+        gmeet_plus_modular]
+    assert all(algorithms[name] is fn for name, (fn, _) in ROUTES.items())
+
+
+def test_route_table_matches_readme_needs_column():
+    text = (Path(__file__).resolve().parents[1] / 'README.md').read_text(encoding='utf-8')
+    table = text.split('### Meet algorithms', 1)[1].split('\n\n')[1]
+    needs = {}
+    for row in table.splitlines()[2:]:
+        cells = [c.strip() for c in row.strip().strip('|').split('|')]
+        needs[cells[0].strip('`')] = cells[1].split()[0]
+    assert needs == {name: requires for name, (_, requires) in ROUTES.items()}
+    assert set(needs.values()) == {'enumerable', 'distributive', 'modular', 'any'}
+
+
+# A lattice outside each domain, the typed error, and its exact message
+# (the enumerable space is checked against a budget of 1000).
+OUTSIDE_DOMAIN = {
+    'distributive': (lambda: m_n(3), NotDistributiveError,
+                     '{name} requires a distributive lattice; mn:3 is not'),
+    'modular': (n5, NotModularError,
+                '{name} requires a modular lattice; n5 is not'),
+    'enumerable': (lambda: build('mn:14*chain:2'), BudgetExceededError,
+                   'product(mn:14,chain:2): n^|J| = 32^15 exceeds budget 1000'),
+}
+
+
+@pytest.mark.parametrize('name', ALL_ALGS)
+def test_route_outside_its_domain_raises_the_typed_error(name):
+    fn, requires = ROUTES[name]
+    if requires == 'any':
+        for lat in (m_n(3), n5(), build('mn:14*chain:2')):
+            check_precondition(name, lat, budget=1000)
+            identity = Endofunction(lat, range(lat.n))
+            assert fn(lat, [identity]).endofunction == identity
+        return
+    make, error, message = OUTSIDE_DOMAIN[requires]
+    lat = make()
+    message = '^' + re.escape(message.format(name=name)) + '$'
+    identity = Endofunction(lat, range(lat.n))
+    with pytest.raises(error, match=message):
+        check_precondition(name, lat, budget=1000)
+    if requires == 'enumerable':
+        with pytest.raises(error, match=message):
+            fn(lat, [identity], budget=1000)
+        return
+    with pytest.raises(error, match=message):
+        fn(lat, [identity])
+    # The domain is checked before the family.
+    with pytest.raises(error, match=message):
+        fn(lat, [])
 
 
 def test_dmeet_plus_fold_cost_model():
@@ -231,7 +300,7 @@ def test_a1_and_dmeet_agree_with_dmeet_plus(meet_cases):
 def test_op_counts_only_contain_lattice_ops(meet_cases):
     case = meet_cases[0]
     for name in ALL_ALGS:
-        if _applicable(case['lattice'], name):
+        if route_applies(case['lattice'], name):
             result = _run(case['lattice'], name, case['fs'])
             assert set(result.op_counts) <= {'join', 'meet', 'subtraction'}
             assert all(v >= 0 for v in result.op_counts.values())

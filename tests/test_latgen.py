@@ -11,7 +11,7 @@ from conftest import canonical_order_bytes, lattice_classes_by_brute_force
 from latmeet import latgen
 from latmeet.errors import (AntisymmetryError, AugmentationError,
                             BudgetExceededError, SizeUnreachableError)
-from latmeet.latgen import (ConjectureReport, EdgeStep, MixedStep, NodeStep,
+from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
                             OrderRelation, augment, canonical_key,
                             conjecture_search, free_pairs, free_pairs_bowtie,
                             generate_all_lattices, is_lattice_relation,
@@ -95,9 +95,6 @@ def test_augment_edge_node_mixed():
     diamond = relation_of(powerset(2))
     with pytest.raises(AugmentationError):
         augment(diamond, NodeStep(below=3, above=0))
-    mixed = augment(rel, MixedStep(NodeStep(below=0, above=2),
-                                   EdgeStep([(1, 3)])))
-    assert to_lattice(mixed).n == 4
 
 
 def test_node_steps_grow_by_one():

@@ -20,7 +20,11 @@ ones, how many times sigma strictly decreased at an element.
 '''
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import combinations
+from math import comb
 
 from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
                    pointwise_leq)
@@ -191,106 +195,78 @@ def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
 
 
 class GMeetState:
-    '''Sigma plus the Support/Conflict/Failure pair buckets of GMeet+.
+    '''Sigma plus the Support/Conflict/Failure classes of GMeet+.
 
-    Pairs are indexed; each pair lives in exactly one bucket of its join
-    value w (disjointness holds by construction: a pair has a single
-    location tag), except for the one pair currently popped for
-    reprocessing, tracked in `active`.  Bucket membership moves are O(1)
-    swap-pops.
+    Pair ids follow (u join v, u, v) order, so the pair GMeet+ handles next
+    (least join, then lexicographically least pair) is the least id of its
+    class, and the pairs with join w hold a contiguous id range.  Each pair
+    carries one class tag, None while it is in flight; Conflict and Failure
+    ids also sit in one min-heap per class.  Those pairs leave their class
+    only by being popped, so the heaps hold no stale ids.  Support is never
+    popped and needs no heap.
     '''
 
     def __init__(self, view, sigma, pairs):
+        'pairs: ascending (u join v, u, v) triples; a pair\'s id is its index.'
         self.view = view
         self.lattice = view.lattice
         self.sigma = sigma
         self.pairs = pairs
-        self.pair_join = [view.join(u, v) for u, v in pairs]
-        n = self.lattice.n
-        self.buckets = [[[] for _ in range(n)] for _ in range(3)]
-        self.loc = [None] * len(pairs)
-        self.active = None
-        self.by_elem = [[] for _ in range(n)]
-        for pid, (u, v) in enumerate(pairs):
+        self.by_elem = [[] for _ in range(self.lattice.n)]
+        for pid, (_, u, v) in enumerate(pairs):
             self.by_elem[u].append(pid)
-            if v != u:
-                self.by_elem[v].append(pid)
+            self.by_elem[v].append(pid)
+        self.tag = [None] * len(pairs)
+        self.heaps = {_CON: [], _FAIL: []}
         for pid in range(len(pairs)):
             self.insert(pid, self.classify(pid))
 
     def classify(self, pid):
         'Compare sigma(u) join sigma(v) against sigma(u join v); costs one join.'
-        u, v = self.pairs[pid]
+        w, u, v = self.pairs[pid]
         j = self.view.join(self.sigma[u], self.sigma[v])
-        sw = self.sigma[self.pair_join[pid]]
-        if j == sw:
+        if j == self.sigma[w]:
             return _SUP
-        return _CON if self.lattice.le(j, sw) else _FAIL
+        return _CON if self.lattice.le(j, self.sigma[w]) else _FAIL
 
     def insert(self, pid, kind):
-        bucket = self.buckets[kind][self.pair_join[pid]]
-        self.loc[pid] = (kind, len(bucket))
-        bucket.append(pid)
-        if self.active == pid:
-            self.active = None
+        self.tag[pid] = kind
+        if kind != _SUP:
+            heappush(self.heaps[kind], pid)
 
-    def remove(self, pid):
-        kind, pos = self.loc[pid]
-        bucket = self.buckets[kind][self.pair_join[pid]]
-        last = bucket.pop()
-        if last != pid:
-            bucket[pos] = last
-            self.loc[last] = (kind, pos)
-        self.loc[pid] = None
-        self.active = pid
-
-    def move(self, pid, kind):
-        self.remove(pid)
-        self.insert(pid, kind)
-
-    def first_nonempty(self, kind):
-        'Smallest w with a nonempty bucket, then its lexicographically least pair.'
-        for w in range(self.lattice.n):
-            bucket = self.buckets[kind][w]
-            if bucket:
-                return min(bucket, key=lambda pid: self.pairs[pid])
-        return None
+    def pop(self, kind):
+        'Take the least Conflict or Failure pair out of its class, or None.'
+        heap = self.heaps[kind]
+        if not heap:
+            return None
+        pid = heappop(heap)
+        self.tag[pid] = None
+        return pid
 
     def flush_sup_to_fail(self, w):
         'All supports of w become failures (sigma(w) just strictly decreased).'
-        sup, fail = self.buckets[_SUP][w], self.buckets[_FAIL][w]
-        for pid in sup:
-            self.loc[pid] = (_FAIL, len(fail))
-            fail.append(pid)
-        sup.clear()
+        for pid in range(bisect_left(self.pairs, (w,)), bisect_left(self.pairs, (w + 1,))):
+            if self.tag[pid] == _SUP:
+                self.insert(pid, _FAIL)
 
     def check_supports(self, x):
         'Re-test support pairs containing x after sigma(x) decreased.'
         for pid in self.by_elem[x]:
-            if self.loc[pid] is not None and self.loc[pid][0] == _SUP:
-                kind = self.classify(pid)
-                if kind != _SUP:
-                    self.move(pid, kind)
+            if self.tag[pid] == _SUP:
+                self.insert(pid, self.classify(pid))
 
     def check_invariants(self):
-        '''Raise AssertionError unless buckets partition the pairs (minus the
-        one possibly in flight) and every Support entry is exact.'''
-        seen = set()
-        for kind in (_SUP, _CON, _FAIL):
-            for w in range(self.lattice.n):
-                for pos, pid in enumerate(self.buckets[kind][w]):
-                    assert self.loc[pid] == (kind, pos)
-                    assert self.pair_join[pid] == w
-                    assert pid not in seen, 'pair in two buckets'
-                    seen.add(pid)
-        missing = set(range(len(self.pairs))) - seen
-        expected = set() if self.active is None else {self.active}
-        assert missing == expected, 'pair missing from all buckets'
-        lat = self.lattice
-        for w in range(lat.n):
-            for pid in self.buckets[_SUP][w]:
-                u, v = self.pairs[pid]
-                assert lat.join(self.sigma[u], self.sigma[v]) == self.sigma[w]
+        '''Raise AssertionError unless every pair but the one possibly in
+        flight has one class, each heap holds exactly its class, and every
+        Support pair is exact.'''
+        assert self.tag.count(None) <= 1, 'more than one pair in flight'
+        for kind, heap in self.heaps.items():
+            members = [pid for pid, tag in enumerate(self.tag) if tag == kind]
+            assert sorted(heap) == members, 'heap does not match its class'
+        for pid, tag in enumerate(self.tag):
+            if tag == _SUP:
+                w, u, v = self.pairs[pid]
+                assert self.lattice.join(self.sigma[u], self.sigma[v]) == self.sigma[w]
 
 
 def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
@@ -299,24 +275,22 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
 
     The outer loop drains Conflict pairs (sigma(w) drops to the pair join);
     the inner loop drains Failure pairs (the pair elements are met with
-    sigma(w), then the pair is reclassified).  Because a sigma update can
-    stale-date Conflict entries, popped Conflict pairs are re-verified and
-    re-bucketed when their classification changed; Failure pops re-derive
-    everything anyway.  `on_event(state, event)` fires after every sigma
-    reduction ("reduce") and bucket transition ("move").
+    sigma(w), then the pair is reclassified).  Each pop takes the pair with
+    the least join w, then the lexicographically least pair.  Because a
+    sigma update can stale-date Conflict entries, popped Conflict pairs are
+    re-verified and re-classified when their classification changed;
+    Failure pops re-derive everything anyway.  `on_event(state, event)`
+    fires after every sigma reduction ("reduce") and class transition
+    ("move").  The pair universe is counted against `max_pairs` before any
+    pair list is built.
     '''
     view = _prep(lattice, fs, _tag)
-    n = lattice.n
-    if pair_universe == ALL_PAIRS and n * (n - 1) // 2 > max_pairs:
-        # Counted before the O(n^2) list is built.
-        raise BudgetExceededError(
-            f'{_tag}: {n * (n - 1) // 2} pairs exceed max_pairs={max_pairs}')
-    pairs = _pair_universe(lattice, pair_universe)
-    if len(pairs) > max_pairs:
-        raise BudgetExceededError(
-            f'{_tag}: {len(pairs)} pairs exceed max_pairs={max_pairs}')
-    sigma = [view.big_meet([f.values[u] for f in fs]) for u in range(n)]
-    state = GMeetState(view, sigma, pairs)
+    count = _pair_count(lattice, pair_universe)
+    if count > max_pairs:
+        raise BudgetExceededError(f'{_tag}: {count} pairs exceed max_pairs={max_pairs}')
+    sigma = [view.big_meet([f.values[u] for f in fs]) for u in range(lattice.n)]
+    state = GMeetState(view, sigma, sorted(
+        (view.join(u, v), u, v) for u, v in _pair_universe(lattice, pair_universe)))
     reductions = 0
 
     def emit(event):
@@ -332,13 +306,8 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
         emit('reduce')
 
     def drain_failures():
-        while True:
-            pid = state.first_nonempty(_FAIL)
-            if pid is None:
-                return
-            state.remove(pid)
-            x, y = state.pairs[pid]
-            z = state.pair_join[pid]
+        while (pid := state.pop(_FAIL)) is not None:
+            z, x, y = state.pairs[pid]
             for t in (x, y):
                 m = view.meet(state.sigma[t], state.sigma[z])
                 if m != state.sigma[t]:
@@ -348,13 +317,8 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
             emit('move')
 
     drain_failures()
-    while True:
-        pid = state.first_nonempty(_CON)
-        if pid is None:
-            break
-        state.remove(pid)
-        u, v = state.pairs[pid]
-        w = state.pair_join[pid]
+    while (pid := state.pop(_CON)) is not None:
+        w, u, v = state.pairs[pid]
         j = view.join(state.sigma[u], state.sigma[v])
         if j == state.sigma[w]:
             state.insert(pid, _SUP)
@@ -416,17 +380,23 @@ def check_precondition(algorithm, lattice, budget=ENUM_BUDGET):
             f'{algorithm} requires a modular lattice; {lattice.label} is not')
 
 
+def _pair_count(lattice, kind):
+    'len(_pair_universe(lattice, kind)), worked out without building it.'
+    if kind == ALL_PAIRS:
+        return lattice.n * (lattice.n - 1) // 2
+    if kind == COVER_PAIRS:
+        return sum(comb(len(lattice.cover_set(w)), 2) for w in range(lattice.n))
+    raise ValueError(f'unknown pair universe {kind!r}')
+
+
 def _pair_universe(lattice, kind):
     if kind == ALL_PAIRS:
         return [(u, v) for u in range(lattice.n) for v in range(u + 1, lattice.n)]
     if kind == COVER_PAIRS:
-        pairs = set()
-        for w in range(lattice.n):
-            cs = lattice.cover_set(w)
-            for i, a in enumerate(cs):
-                for b in cs[i + 1:]:
-                    pairs.add((a, b) if a < b else (b, a))
-        return sorted(pairs)
+        # A pair within cover_set(w) joins to w, so no pair lies in two
+        # cover sets and none is listed twice.
+        return [(a, b) if a < b else (b, a) for w in range(lattice.n)
+                for a, b in combinations(lattice.cover_set(w), 2)]
     raise ValueError(f'unknown pair universe {kind!r}')
 
 

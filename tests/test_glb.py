@@ -9,15 +9,16 @@ import pytest
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_GLB, M3_F, M3_G, M3_GLB,
                       M3_POINTWISE_MEET, MODULAR7_F, MODULAR7_G, MODULAR7_GLB,
                       MODULAR7_SIGMA_MISMATCHES, brute_of, modular7, n5,
-                      route_applies)
+                      route_applies, small_corpus)
 from latmeet.endo import (Endofunction, is_join_endomorphism,
                           pointwise_leq, random_join_endomorphism)
 from latmeet.errors import (BudgetExceededError, EmptySetError,
                             NotDistributiveError, NotModularError)
-from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, ROUTES, MeetResult, a1_naive,
-                         brute_force_meet, check_precondition, dmeet,
-                         dmeet_plus, gmeet, gmeet_plus, gmeet_plus_modular,
-                         meet_algorithms, verify_01_relations_preserving)
+from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, ROUTES, MeetResult, _pair_count,
+                         _pair_universe, a1_naive, brute_force_meet,
+                         check_precondition, dmeet, dmeet_plus, gmeet,
+                         gmeet_plus, gmeet_plus_modular, meet_algorithms,
+                         verify_01_relations_preserving)
 from latmeet.lattice import build, chain, m_n, powerset
 
 ALL_ALGS = ('brute', 'a1', 'dmeet', 'dmeet+', 'gmeet', 'gmeet+', 'gmeet+mod')
@@ -130,6 +131,27 @@ def test_gmeet_plus_refuses_all_pairs_before_building_them():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_gmeet_plus_modular_refuses_cover_pairs_before_building_them():
+    lat = powerset(12)
+    fs = [random_join_endomorphism(lat, seed=k) for k in range(2)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=r'^gmeet\+mod: 92160 pairs exceed max_pairs=1000$'):
+            gmeet_plus_modular(lat, fs, max_pairs=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_pair_count_matches_the_built_universe():
+    for lat in small_corpus():
+        for kind in (ALL_PAIRS, COVER_PAIRS):
+            pairs = _pair_universe(lat, kind)
+            assert _pair_count(lat, kind) == len(pairs) == len(set(pairs)), (lat.label, kind)
 
 
 def test_meet_algorithms_is_a_view_of_the_route_table():
@@ -248,16 +270,18 @@ def _big_meet(lat, fs, u):
 def test_gmeet_plus_bucket_invariants(meet_cases):
     for case in meet_cases[:40]:
         lat, fs = case['lattice'], case['fs']
-        events = []
+        routes = (gmeet_plus, gmeet_plus_modular) if lat.is_modular() else (gmeet_plus,)
+        for route in routes:
+            events = []
 
-        def watch(state, event):
-            state.check_invariants()
-            events.append(event)
+            def watch(state, event):
+                state.check_invariants()
+                events.append(event)
 
-        result = gmeet_plus(lat, fs, on_event=watch)
-        assert result.endofunction.values == brute_of(case).endofunction.values
-        assert set(events) <= {'reduce', 'move'}
-        assert events.count('reduce') == result.sigma_reductions
+            result = route(lat, fs, on_event=watch)
+            assert result.endofunction.values == brute_of(case).endofunction.values
+            assert set(events) <= {'reduce', 'move'}
+            assert events.count('reduce') == result.sigma_reductions
 
 
 def test_gmeet_plus_cover_pairs_on_modular():

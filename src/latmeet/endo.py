@@ -8,6 +8,7 @@ enumeration and seeded random sampling, plus the one-line text format.
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import numpy as np
 
@@ -22,19 +23,23 @@ BATCH_ENTRIES = 1 << 16
 
 
 class Endofunction:
-    'Immutable self-map of a lattice; equality and hashing use the value tuple.'
+    '''Immutable self-map of a lattice; equality and hashing use the value
+    tuple, and `array` is a read-only int64 copy for vector operations.'''
 
-    __slots__ = ('lattice', 'values')
+    __slots__ = ('lattice', 'values', 'array')
 
     def __init__(self, lattice, values):
-        values = tuple(int(v) for v in values)
-        if len(values) != lattice.n:
-            raise ValueError(f'expected {lattice.n} values, got {len(values)}')
-        for v in values:
-            if not 0 <= v < lattice.n:
-                raise ValueError(f'value {v} out of range for {lattice.label}')
+        arr = (np.array(values, np.int64) if isinstance(values, np.ndarray)
+               else np.fromiter(values, np.int64))
+        if len(arr) != lattice.n:
+            raise ValueError(f'expected {lattice.n} values, got {len(arr)}')
+        if arr.min() < 0 or arr.max() >= lattice.n:
+            v = arr[(arr < 0) | (arr >= lattice.n)][0]
+            raise ValueError(f'value {v} out of range for {lattice.label}')
+        arr.flags.writeable = False
         self.lattice = lattice
-        self.values = values
+        self.values = tuple(arr.tolist())
+        self.array = arr
 
     def __call__(self, a):
         return self.values[a]
@@ -51,20 +56,14 @@ class Endofunction:
 
 def is_join_endomorphism(f):
     'True when f(bottom) = bottom and f(a join b) = f(a) join f(b) for all a, b.'
-    lat, vals = f.lattice, f.values
+    lat, vals = f.lattice, f.array
     if vals[lat.bottom] != lat.bottom:
         return False
     if isinstance(lat, PowersetLattice):
         # On a distributive lattice f is a join-endomorphism iff every value
         # is the join of the values at the irreducibles below it.
-        for e in range(lat.n):
-            acc = 0
-            for j in lat.jdown(e):
-                acc |= vals[j]
-            if acc != vals[e]:
-                return False
-        return True
-    return bool(_joins_preserved(lat, np.asarray([vals]))[0])
+        return np.array_equal(lat.extend_by_joins(vals[list(lat.join_irreducibles)]), vals)
+    return bool(_joins_preserved(lat, vals[None])[0])
 
 
 def _joins_preserved(lattice, rows):
@@ -77,13 +76,11 @@ def _joins_preserved(lattice, rows):
 
 def pointwise_leq(f, g):
     'True when f(a) <= g(a) for every a.'
-    lat = f.lattice
-    return all(lat.le(a, b) for a, b in zip(f.values, g.values))
+    return bool(f.lattice.le_many(f.array, g.array).all())
 
 
 def pointwise_join(f, g):
-    lat = f.lattice
-    return Endofunction(lat, (lat.join(a, b) for a, b in zip(f.values, g.values)))
+    return Endofunction(f.lattice, f.lattice.join_many(f.array, g.array))
 
 
 def pointwise_meet_many(fs):
@@ -91,10 +88,7 @@ def pointwise_meet_many(fs):
     if not fs:
         raise EmptySetError('pointwise_meet_many needs a nonempty family')
     lat = fs[0].lattice
-    vals = list(fs[0].values)
-    for g in fs[1:]:
-        vals = [lat.meet(a, b) for a, b in zip(vals, g.values)]
-    return Endofunction(lat, vals)
+    return Endofunction(lat, reduce(lat.meet_many, (g.array for g in fs)))
 
 
 def enumerate_join_endomorphisms(lattice, budget=ENUM_BUDGET):
@@ -157,8 +151,9 @@ def count_join_endomorphisms(lattice, budget=ENUM_BUDGET):
 def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=True):
     '''Seeded random join-endomorphism.
 
-    Draws independent uniform values on the join-irreducibles and extends by
-    joins; on distributive lattices every extension is valid.  Elsewhere the
+    Draws independent uniform values on the join-irreducibles and extends
+    them by joins in vector passes (`extend_by_joins`); on distributive
+    lattices every extension is valid.  Elsewhere the
     extensions are rejection-tested in numpy batches of growing size (1, 4,
     16, ... rows, capped at BATCH_ENTRIES table entries) and the first valid
     draw is returned; after `retry_cap` failures the last draw is repaired by
@@ -168,22 +163,16 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
     resulting distribution over E(L) is NOT uniform in either case.
     '''
     rng = random.Random(seed)
-    jirr = lattice.join_irreducibles
+    jirr, n = lattice.join_irreducibles, lattice.n
     if lattice.is_distributive():
-        g = {j: rng.randrange(lattice.n) for j in jirr}
-        return Endofunction(lattice, _extend_by_joins(lattice, g))
-    n, draws = lattice.n, max(1, retry_cap)
-    jt = lattice.join_table
-    above = [np.flatnonzero(lattice.leq[j]) for j in jirr]
+        return Endofunction(lattice, lattice.extend_by_joins([rng.randrange(n) for _ in jirr]))
+    draws = max(1, retry_cap)
     max_rows = max(1, BATCH_ENTRIES // (n * n))
     size, done = 1, 0
     while done < draws:
         b = min(size, max_rows, draws - done)
-        g = np.array([rng.randrange(n) for _ in range(b * len(jirr))],
-                     dtype=jt.dtype).reshape(b, len(jirr))
-        rows = np.full((b, n), lattice.bottom, dtype=jt.dtype)
-        for k, cols in enumerate(above):
-            rows[:, cols] = jt[rows[:, cols], g[:, k:k + 1]]
+        g = [rng.randrange(n) for _ in range(b * len(jirr))]
+        rows = lattice.extend_by_joins(np.reshape(g, (b, len(jirr))))
         hit = np.flatnonzero(_joins_preserved(lattice, rows))
         if hit.size:
             return Endofunction(lattice, rows[hit[0]])
@@ -194,22 +183,6 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
         return gmeet(lattice, [Endofunction(lattice, rows[-1])]).endofunction
     raise RetryExhaustedError(
         f'{lattice.label}: no join-endomorphism found in {retry_cap} draws')
-
-
-def _extend_by_joins(lattice, g):
-    '''f(e) = join of g over the irreducibles below e, on a distributive
-    lattice.  The union identity jdown(a join b) = jdown(a) | jdown(b) lets
-    the extension run incrementally along covers.'''
-    vals = [lattice.bottom] * lattice.n
-    for e in lattice.linear_extension():
-        cs = lattice.covers_of(e)
-        if not cs:
-            vals[e] = lattice.bottom
-        elif len(cs) == 1:
-            vals[e] = lattice.join(vals[cs[0]], g[e])
-        else:
-            vals[e] = lattice.join(vals[cs[0]], vals[cs[1]])
-    return vals
 
 
 # -- text format -----------------------------------------------------------------

@@ -27,9 +27,9 @@ from itertools import combinations
 from math import comb
 
 from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
-                   pointwise_leq)
+                   pointwise_leq, pointwise_meet_many)
 from .errors import (BudgetExceededError, EmptySetError, NotDistributiveError,
-                     NotModularError, StructureError)
+                     NotModularError)
 
 ALL_PAIRS = 'all'
 COVER_PAIRS = 'covers'
@@ -63,10 +63,11 @@ def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
     '''Join of every join-endomorphism below all of S.  Exponential; the oracle.
     The enumeration itself refuses a space above the budget.'''
     view = _prep(lattice, fs, 'brute')
+    bound = pointwise_meet_many(fs)     # g <= every f in S iff g <= their pointwise meet
     vals = [lattice.bottom] * lattice.n
     for g in enumerate_join_endomorphisms(lattice, budget):
-        if all(pointwise_leq(g, f) for f in fs):
-            vals = [view.join(a, b) for a, b in zip(vals, g.values)]
+        if pointwise_leq(g, bound):
+            vals = view.join_many(vals, g.array)
     return MeetResult(Endofunction(lattice, vals), 'brute', view.counts)
 
 
@@ -121,33 +122,17 @@ def dmeet_plus(lattice, fs):
 
     Per pairwise fold this costs exactly |J(L)| meets and n - |J(L)| - 1
     joins: one meet per irreducible, one join per reducible non-bottom
-    element (its value is the join at two covered elements, memoized in a
-    linear-extension pass).
+    element (its value is the join at two covered elements).  The fold runs
+    as vector passes, so the view charges those counts in bulk.
     '''
     check_precondition('dmeet+', lattice)
     view = _prep(lattice, fs, 'dmeet+')
+    jirr = list(lattice.join_irreducibles)
     out = fs[0]
     for g in fs[1:]:
-        out = _dmeet_plus_pair(view, out, g)
+        met = view.meet_many(out.array[jirr], g.array[jirr])
+        out = Endofunction(lattice, view.extend_by_joins(met))
     return MeetResult(out, 'dmeet+', view.counts)
-
-
-def _dmeet_plus_pair(view, f, g):
-    lat = view.lattice
-    jirr = set(lat.join_irreducibles)
-    vals = [lat.bottom] * lat.n
-    for e in lat.linear_extension():
-        if e == lat.bottom:
-            continue
-        if e in jirr:
-            vals[e] = view.meet(f.values[e], g.values[e])
-        else:
-            cs = lat.covers_of(e)
-            if len(cs) < 2:
-                raise StructureError(
-                    f'{lat.label}: join-reducible element {e} has fewer than two covers')
-            vals[e] = view.join(vals[cs[0]], vals[cs[1]])
-    return Endofunction(lat, vals)
 
 
 def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):

@@ -8,9 +8,7 @@ steps with a seeded generator.  The conjecture hunt compares endomorphism
 counts across distributive single-pair augmentations.
 
 Free pairs are computed from the definition: (a,b) with a not below b whose
-single-pair closure is still a lattice relation.  `free_pairs_bowtie` is a
-structural shortcut whose correctness is unproven; it exists to be compared
-against the definition, not relied on.
+single-pair closure is still a lattice relation.
 '''
 from __future__ import annotations
 
@@ -128,25 +126,6 @@ def _closes_to_lattice(rel, a, b):
     except AntisymmetryError:
         return False
     return is_lattice_relation(closed)
-
-
-def free_pairs_bowtie(rel):
-    '''The structural characterization: (a,b) incomparable with no witness
-    pair x strictly below b and y strictly above a such that x is strictly
-    below y but x is not below a and b is not below y.  Unproven; compare
-    against free_pairs.'''
-    m = rel.matrix
-    lt = m & ~np.eye(rel.n, dtype=bool)
-    out = []
-    for a in range(rel.n):
-        for b in range(rel.n):
-            if a == b or rel.le(a, b) or rel.le(b, a):
-                continue
-            xs = lt[:, b] & ~lt[:, a]
-            ys = lt[a, :] & ~lt[b, :]
-            if not (lt & np.outer(xs, ys)).any():
-                out.append((a, b))
-    return out
 
 
 def augment(rel, step):

@@ -4,9 +4,10 @@ Two interchangeable backends implement the same element-level interface:
 `Lattice` stores the order as an n x n boolean matrix with join/meet lookup
 tables, `PowersetLattice` represents elements as bitmasks and computes every
 operation directly (full tables for 2^16 elements would not fit in memory).
-Instances are immutable once built.  `instrumented_view` wraps either backend
-with per-operation counters for the cost model used by the meet algorithms:
-joins, meets and subtractions are counted, order tests are free.
+Instances are immutable once built; array operations (`join_many` and kin,
+`extend_by_joins`) run as numpy passes.  `instrumented_view` wraps either
+backend with per-operation counters for the cost model used by the meet
+algorithms: joins, meets and subtractions are counted, order tests are free.
 '''
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ class LatticeBase:
     top: int
     label: str
 
-    def elements(self):
-        return range(self.n)
-
     def big_join(self, xs):
         'Join of an iterable, bottom if empty.'
         return reduce(self.join, xs, self.bottom)
@@ -46,10 +44,20 @@ class LatticeBase:
     def instrumented_view(self):
         return OpCountingLattice(self)
 
-    def _check_element(self, a):
-        if not 0 <= a < self.n:
-            raise ValueError(f'element {a} out of range for {self.label} (n={self.n})')
-        return a
+    def jdown(self, c):
+        'Join-irreducibles below (or equal to) c.'
+        return tuple(j for j in self.join_irreducibles if self.le(j, c))
+
+    def le_many(self, a, b):
+        'Elementwise a <= b, as a meet b == a.'
+        return self.meet_many(a, b) == np.asarray(a)
+
+    def _jvals(self, jvals, dtype):
+        jvals = np.asarray(jvals, dtype=dtype)
+        if jvals.shape[-1:] != (len(self.join_irreducibles),):
+            raise ValueError(f'{self.label}: expected one value per join-irreducible, '
+                             f'got shape {jvals.shape}')
+        return jvals
 
     def __repr__(self):
         return f'<{type(self).__name__} {self.label} n={self.n}>'
@@ -103,6 +111,52 @@ class Lattice(LatticeBase):
 
     def meet(self, a, b):
         return int(self._meet_table[a, b])
+
+    def join_many(self, a, b):
+        return self._join_table[a, b]
+
+    def meet_many(self, a, b):
+        return self._meet_table[a, b]
+
+    def extend_by_joins(self, jvals):
+        '''v[..., e] = join of jvals[..., k] over the irreducibles J[k] <= e,
+        by join-table lookups level by level; leading axes are rows.'''
+        jvals = self._jvals(jvals, self._join_table.dtype)
+        w = np.concatenate([np.full(jvals.shape[:-1] + (self.n,), self.bottom, jvals.dtype),
+                            jvals], axis=-1)
+        for es, slots in self._join_schedule:
+            acc = w[..., slots[:, 0]]
+            for col in slots.T[1:]:
+                acc = self._join_table[acc, w[..., col]]
+            w[..., es] = acc
+        return w[..., :self.n]
+
+    @cached_property
+    def _join_schedule(self):
+        '''Per rank level above bottom: its elements and the slots each joins.
+        An irreducible below e is e (slot n + k if e = J[k]) or below a lower
+        cover; covers join largest first while they add one (two, if distributive).'''
+        n, index = self.n, {j: k for k, j in enumerate(self.join_irreducibles)}
+        covers = [[] for _ in range(n)]
+        for c, e in zip(*(axis.tolist() for axis in np.nonzero(self._cover_matrix))):
+            covers[e].append(c)
+        rank, below, slots = np.zeros(n, dtype=np.intp), [0] * n, [[] for _ in range(n)]
+        for e in self.linear_extension():        # below[e]: bit k set iff J[k] <= e
+            need = 1 << index[e] if e in index else 0
+            for c in covers[e]:
+                need |= below[c]
+            below[e] = need
+            for c in sorted(covers[e], key=lambda c: -below[c].bit_count()):
+                rank[e] = max(rank[e], rank[c] + 1)
+                if need & below[c]:
+                    slots[e].append(c)
+                    need &= ~below[c]
+            if need:
+                slots[e].append(n + index[e])
+        levels = [np.flatnonzero(rank == r) for r in range(1, rank[self.top] + 1)]
+        width = [max(len(slots[e]) for e in es) for es in levels]    # short rows repeat a slot
+        return [(es, np.array([slots[e] + slots[e][:1] * (w - len(slots[e])) for e in es]))
+                for es, w in zip(levels, width)]
 
     @property
     def join_table(self):
@@ -173,23 +227,15 @@ class Lattice(LatticeBase):
     def up_set(self, a):
         return tuple(int(b) for b in np.flatnonzero(self.leq[a, :]))
 
-    def jdown(self, c):
-        'Join-irreducibles below (or equal to) c.'
-        return tuple(j for j in self.join_irreducibles if self.leq[j, c])
-
     def linear_extension(self):
         'Elements ordered compatibly with leq (smaller down-sets first).'
         sizes = self.leq.sum(axis=0)
         return tuple(int(a) for a in np.argsort(sizes, kind='stable'))
 
-    @cached_property
+    @property
     def height(self):
         'Length in edges of the longest chain.'
-        h = [0] * self.n
-        for a in sorted(range(self.n), key=lambda a: int(self.leq[:, a].sum())):
-            covs = self.covers_of(a)
-            h[a] = 1 + max(h[b] for b in covs) if covs else 0
-        return h[self.top]
+        return len(self._join_schedule)
 
     # -- identities ------------------------------------------------------------
 
@@ -255,6 +301,21 @@ class PowersetLattice(LatticeBase):
     def subtraction(self, c, a):
         return c & ~a
 
+    def join_many(self, a, b):
+        return np.asarray(a, np.int64) | np.asarray(b, np.int64)
+
+    def meet_many(self, a, b):
+        return np.asarray(a, np.int64) & np.asarray(b, np.int64)
+
+    def extend_by_joins(self, jvals):
+        'Bit doubling: masks in [b, 2b) are those in [0, b) plus bit b.'
+        jvals = self._jvals(jvals, np.int64)
+        v = np.zeros(jvals.shape[:-1] + (self.n,), dtype=np.int64)
+        for i in range(self.m):
+            b = 1 << i
+            v[..., b:2 * b] = v[..., :b] | jvals[..., i, None]
+        return v
+
     def covers_of(self, a):
         return tuple(sorted(a ^ (1 << i) for i in range(self.m) if a >> i & 1))
 
@@ -264,9 +325,6 @@ class PowersetLattice(LatticeBase):
     @property
     def join_irreducibles(self):
         return tuple(1 << i for i in range(self.m))
-
-    def jdown(self, c):
-        return tuple(1 << i for i in range(self.m) if c >> i & 1)
 
     def down_set(self, c):
         return tuple(sorted(self._submasks(c)))
@@ -328,7 +386,9 @@ class OpCountingLattice:
     Structural queries (order tests, covers, irreducibles, down-sets) are
     free, mirroring the cost model where only binary lattice operations are
     charged.  big_join/big_meet fold through the counted binary operations,
-    seeded with bottom/top, so a k-element family costs k operations.
+    seeded with bottom/top, so a k-element family costs k operations.  Array
+    operations are charged in bulk: one per element pair, and for
+    extend_by_joins one join per join-reducible element above bottom.
     '''
 
     def __init__(self, lattice):
@@ -347,11 +407,23 @@ class OpCountingLattice:
         self.counts['subtraction'] += 1
         return self.lattice.subtraction(c, a)
 
-    def big_join(self, xs):
-        return reduce(self.join, xs, self.lattice.bottom)
+    def join_many(self, a, b):
+        out = self.lattice.join_many(a, b)
+        self.counts['join'] += np.size(out)
+        return out
 
-    def big_meet(self, xs):
-        return reduce(self.meet, xs, self.lattice.top)
+    def meet_many(self, a, b):
+        out = self.lattice.meet_many(a, b)
+        self.counts['meet'] += np.size(out)
+        return out
+
+    def extend_by_joins(self, jvals):
+        self.counts['join'] += self.n - len(self.join_irreducibles) - 1
+        return self.lattice.extend_by_joins(jvals)
+
+    # The folds of LatticeBase, run through the counted join and meet.
+    big_join = LatticeBase.big_join
+    big_meet = LatticeBase.big_meet
 
     def __getattr__(self, name):
         return getattr(self.lattice, name)

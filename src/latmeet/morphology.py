@@ -13,6 +13,7 @@ operator is only translation-invariant away from the borders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .endo import Endofunction
 from .errors import BudgetExceededError, OutOfRangeError
@@ -106,19 +107,12 @@ class PixelGrid:
 def dilation_as_endofunction(grid, se):
     '''The action of dilate(-, se) on every subset of the grid.
 
-    Singleton images are dilated directly; every other value is the union
-    of the value one bit lower and the value of that bit, so the table
-    fills in one pass over the 2^(w*h) masks.'''
-    lat = grid.lattice
-    singles = [
-        grid.image_to_mask(dilate(grid.mask_to_image(1 << i), se))
-        for i in range(grid.width * grid.height)
-    ]
-    vals = [0] * lat.n
-    for m in range(1, lat.n):
-        low = m & -m
-        vals[m] = vals[m & (m - 1)] | singles[low.bit_length() - 1]
-    return Endofunction(lat, vals)
+    Singleton images are dilated directly; a dilation preserves unions, so
+    every other value is the union of the values of its pixels, filled in
+    by the lattice's bit-doubling `extend_by_joins`.'''
+    singles = [grid.image_to_mask(dilate(grid.mask_to_image(1 << i), se))
+               for i in range(grid.width * grid.height)]
+    return Endofunction(grid.lattice, grid.lattice.extend_by_joins(singles))
 
 
 def meet_of_dilations(image, ses, algorithm='dmeet+'):
@@ -131,10 +125,7 @@ def meet_of_dilations(image, ses, algorithm='dmeet+'):
     endos = [dilation_as_endofunction(grid, se) for se in ses]
     result = meet_algorithms()[algorithm](grid.lattice, endos)
     via_lattice = grid.mask_to_image(result.endofunction(grid.image_to_mask(image)))
-    common = ses[0]
-    for se in ses[1:]:
-        common = common.intersection(se)
-    return via_lattice, dilate(image, common)
+    return via_lattice, dilate(image, reduce(StructuringElement.intersection, ses))
 
 
 def parse_text_image(text):

@@ -13,7 +13,7 @@ from latmeet.errors import (AntisymmetryError, AugmentationError,
                             BudgetExceededError, SizeUnreachableError)
 from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
                             OrderRelation, augment, canonical_key,
-                            conjecture_search, free_pairs, free_pairs_bowtie,
+                            conjecture_search, free_pairs,
                             generate_all_lattices, is_lattice_relation,
                             node_steps, random_distributive_lattice,
                             random_lattice, relation_of, to_lattice,
@@ -60,6 +60,25 @@ def test_free_pairs_definition_is_self_consistent():
                 except AugmentationError:
                     grew = False
                 assert grew == (pair in free)
+
+
+def free_pairs_bowtie(rel):
+    '''The structural characterization: (a,b) incomparable with no witness
+    pair x strictly below b and y strictly above a such that x is strictly
+    below y but x is not below a and b is not below y.  Unproven; compare
+    against free_pairs.'''
+    m = rel.matrix
+    lt = m & ~np.eye(rel.n, dtype=bool)
+    out = []
+    for a in range(rel.n):
+        for b in range(rel.n):
+            if a == b or rel.le(a, b) or rel.le(b, a):
+                continue
+            xs = lt[:, b] & ~lt[:, a]
+            ys = lt[a, :] & ~lt[b, :]
+            if not (lt & np.outer(xs, ys)).any():
+                out.append((a, b))
+    return out
 
 
 def test_bowtie_criterion_agrees_up_to_six():

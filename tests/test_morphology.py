@@ -71,6 +71,15 @@ def test_dilation_endofunction_matches_direct_dilation():
             assert f.values[mask] == grid.image_to_mask(dilate(img, se)), name
 
 
+@pytest.mark.parametrize('size', [(2, 3), (3, 3)], ids=lambda s: f'{s[0]}x{s[1]}')
+def test_dilation_endofunction_is_dilate_mask_by_mask(size):
+    grid = PixelGrid(*size)
+    for name, se in SE_CATALOG.items():
+        want = tuple(grid.image_to_mask(dilate(grid.mask_to_image(mask), se))
+                     for mask in range(grid.lattice.n))
+        assert dilation_as_endofunction(grid, se).values == want, name
+
+
 def test_dilation_endofunction_identity_and_bottom():
     grid = PixelGrid(2, 2)
     ident = dilation_as_endofunction(grid, SE_CATALOG['dot'])

@@ -41,10 +41,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatmeetError as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (LatmeetError, ValueError, OSError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 1
 

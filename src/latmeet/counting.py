@@ -35,15 +35,9 @@ def laguerre_at_minus_one_times_factorial(n):
     if n < 0:
         raise OutOfRangeError(f'n must be nonnegative, got {n}')
     prev, cur = Fraction(1), Fraction(2)
-    if n == 0:
-        value = prev
-    elif n == 1:
-        value = cur
-    else:
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 2) * cur - k * prev) / (k + 1)
-        value = cur
-    scaled = value * math.factorial(n)
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 2) * cur - k * prev) / (k + 1)
+    scaled = (prev if n == 0 else cur) * math.factorial(n)
     assert scaled.denominator == 1
     return scaled.numerator
 

@@ -7,8 +7,11 @@ edge steps, deduplicating up to isomorphism; random generation walks the same
 steps with a seeded generator.  The conjecture hunt compares endomorphism
 counts across distributive single-pair augmentations.
 
-Free pairs are computed from the definition: (a,b) with a not below b whose
-single-pair closure is still a lattice relation.
+Free pairs are the pairs (a,b), a not below b, whose single-pair closure is
+a lattice relation.  In a closed order that closure is leq | down(a) x up(b),
+a cycle iff b <= a; the closures of all incomparable pairs are tested as one
+stack.  An order is a lattice iff each pair has a common upper bound c with
+|up(c)| = the number of common upper bounds (c is their join), and dually.
 '''
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ import numpy as np
 from .endo import count_join_endomorphisms
 from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
                      OutOfRangeError, SizeUnreachableError)
-from .lattice import TABLE_LIMIT, Lattice, _transitive_closure_matrix, chain, from_leq
+from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _is_lattice_stack,
+                      _transitive_closure_matrix, chain, from_leq)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -89,13 +93,8 @@ def is_lattice_relation(rel):
     order in which every pair has a unique least upper and greatest lower
     bound (top and bottom follow).'''
     m = rel.matrix
-    if ((m @ m) & ~m).any():
-        return False
-    try:
-        Lattice(m, check=False)
-    except Exception:
-        return False
-    return True
+    return (len(m) > 0 and not ((m @ m) & ~m).any()
+            and bool(_is_lattice_stack(m[None])[0]))
 
 
 def to_lattice(rel, label='generated'):
@@ -108,24 +107,20 @@ def relation_of(lattice):
 
 def free_pairs(rel):
     '''All ordered pairs (a,b), a not below b, whose single-pair closure is
-    still a lattice relation.  Computed by doing exactly that.'''
+    still a lattice relation, row-major; rel must be transitive.'''
+    m = rel.matrix
+    closures = lambda a, b: m | (m.T[a, :, None] & m[b, None, :])
+    return list(map(tuple, _lattice_pairs(np.argwhere(~(m | m.T)), closures, rel.n)))
+
+
+def _lattice_pairs(pairs, closures, size):
+    '''The rows (a, b) of `pairs` whose closure, from the stack closures(a, b)
+    of size x size orders, is a lattice relation; chunked within CHUNK_BYTES.'''
+    per = max(1, CHUNK_BYTES // (size * _bound_block_bytes(size)))
     out = []
-    for a in range(rel.n):
-        for b in range(rel.n):
-            if a != b and not rel.le(a, b) and _closes_to_lattice(rel, a, b):
-                out.append((a, b))
+    for chunk in (pairs[p:p + per] for p in range(0, len(pairs), per)):
+        out += chunk[_is_lattice_stack(closures(*chunk.T))].tolist()
     return out
-
-
-def _closes_to_lattice(rel, a, b):
-    m = rel.matrix.copy()
-    m.setflags(write=True)
-    m[a, b] = True
-    try:
-        closed = transitive_closure(OrderRelation(m, check=False))
-    except AntisymmetryError:
-        return False
-    return is_lattice_relation(closed)
 
 
 def augment(rel, step):
@@ -160,19 +155,16 @@ def _close_checked(matrix, step):
 
 
 def node_steps(rel):
-    'All valid node augmentation steps of rel.'
-    out = []
-    for a in range(rel.n):
-        for b in range(rel.n):
-            if a == b:
-                continue
-            step = NodeStep(a, b)
-            try:
-                augment(rel, step)
-            except AugmentationError:
-                continue
-            out.append(step)
-    return out
+    '''All valid node augmentation steps of rel, row-major; rel must be transitive.
+    A new x with a < x < b closes to leq | down(a) x up(b) plus down(a) < x < up(b).'''
+    m, n = rel.matrix, rel.n
+
+    def closures(a, b):
+        out = np.ones((len(a), n + 1, n + 1), dtype=bool)
+        out[:, :n, :n] = m | (m.T[a, :, None] & m[b, None, :])
+        out[:, :n, n], out[:, n, :n] = m.T[a], m[b]
+        return out
+    return [NodeStep(a, b) for a, b in _lattice_pairs(np.argwhere(~m.T), closures, n + 1)]
 
 
 def canonical_key(rel):
@@ -186,12 +178,8 @@ def canonical_key(rel):
     n = rel.n
     lt = m & ~np.eye(n, dtype=bool)
     covers = lt & ~(lt @ lt)
-    colors = [
-        (int(m[:, i].sum()), int(m[i, :].sum()),
-         int(covers[:, i].sum()), int(covers[i, :].sum()))
-        for i in range(n)
-    ]
-    colors = _intern(colors)
+    degrees = np.stack([m.sum(0), m.sum(1), covers.sum(0), covers.sum(1)], axis=1)
+    colors = _intern(list(map(tuple, degrees.tolist())))
     while True:
         refined = [
             (colors[i],
@@ -203,10 +191,7 @@ def canonical_key(rel):
         if refined == colors:
             break
         colors = refined
-    classes = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    groups = [classes[c] for c in sorted(classes)]
+    groups = [[i for i in range(n) if colors[i] == c] for c in sorted(set(colors))]
     best = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in groups)):
         order = [i for part in perm_parts for i in part]
@@ -286,11 +271,9 @@ def random_lattice(n, seed=None):
 
 
 def _random_step(rel, rng):
-    node_candidates = [(a, b) for a in range(rel.n) for b in range(rel.n) if a != b]
-    edge_candidates = [(a, b) for a, b in node_candidates
-                       if not rel.le(a, b) and not rel.le(b, a)]
-    candidates = ([('node', p) for p in node_candidates]
-                  + [('edge', p) for p in edge_candidates])
+    m = rel.matrix
+    candidates = ([('node', p) for p in np.argwhere(~np.eye(rel.n, dtype=bool)).tolist()]
+                  + [('edge', p) for p in np.argwhere(~(m | m.T)).tolist()])
     for _ in range(RANDOM_DRAW_CAP * rel.n):
         kind, (a, b) = rng.choice(candidates)
         step = NodeStep(a, b) if kind == 'node' else EdgeStep([(a, b)])
@@ -483,8 +466,4 @@ def _ut_lattice_preds(n):
 
 
 def _pred_to_leq(pred, n):
-    leq = np.eye(n, dtype=bool)
-    for j, mask in enumerate(pred):
-        for i in range(j):
-            leq[i, j] = bool(mask >> i & 1)
-    return leq
+    return np.eye(n, dtype=bool) | (np.array(pred) >> np.arange(n)[:, None] & 1 == 1)

@@ -19,6 +19,8 @@ from .errors import BudgetExceededError, NotALatticeError, NotDistributiveError
 
 # Largest n for which n x n tables/matrices are materialized on demand.
 TABLE_LIMIT = 4096
+# Bytes of temporaries one block of the vectorised lub/glb test may hold.
+CHUNK_BYTES = 1 << 24
 
 
 class LatticeBase:
@@ -461,12 +463,9 @@ def m_n(k, label=None):
     leq = np.eye(n, dtype=bool)
     leq[bot, :] = True
     leq[:, top] = True
-    jt = np.full((n, n), top, dtype=np.int32)
-    mt = np.full((n, n), bot, dtype=np.int32)
-    for a in range(n):
-        jt[a, a] = mt[a, a] = a
-        jt[bot, a] = jt[a, bot] = a
-        mt[top, a] = mt[a, top] = a
+    r, comparable = np.arange(n, dtype=np.int32), leq | leq.T    # labels extend the order
+    jt = np.where(comparable, np.maximum.outer(r, r), top)
+    mt = np.where(comparable, np.minimum.outer(r, r), bot)
     return Lattice(leq, label=label if label is not None else f'mn:{k}',
                    join_table=jt, meet_table=mt,
                    distributive=k <= 2, modular=True, check=False)
@@ -547,18 +546,11 @@ def read_cover_file(fh, label='cover-file'):
 
     "#" starts a comment; blank lines are ignored.
     '''
-    lines = []
-    for raw in fh:
-        line = raw.split('#', 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for line in (raw.split('#', 1)[0].strip() for raw in fh) if line]
     if not lines:
         raise NotALatticeError('empty cover-relation file')
     n = int(lines[0])
-    edges = []
-    for line in lines[1:]:
-        a, b = line.split()
-        edges.append((int(a), int(b)))
+    edges = [(int(a), int(b)) for a, b in (line.split() for line in lines[1:])]
     return from_cover_relation(n, edges, label=label)
 
 
@@ -588,27 +580,65 @@ def _check_partial_order(leq):
 
 
 def _tables_from_leq(leq):
-    'Derive join/meet tables; lub(a, b) is the element whose up-set is up(a) & up(b).'
+    '''Join/meet tables of a transitive order; NotALatticeError names the first
+    pair (i <= j, row-major) without a least upper, else greatest lower, bound.'''
     n = leq.shape[0]
-    up_id = {leq[i].tobytes(): i for i in range(n)}
-    geq = np.ascontiguousarray(leq.T)
-    dn_id = {geq[i].tobytes(): i for i in range(n)}
-    jt = np.empty((n, n), dtype=np.int32)
-    mt = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        up_i, dn_i = leq[i], geq[i]
-        for j in range(i, n):
-            lub = up_id.get((up_i & leq[j]).tobytes())
-            if lub is None:
-                raise NotALatticeError(f'elements {i} and {j} have no least upper bound',
-                                       pair=(i, j))
-            glb = dn_id.get((dn_i & geq[j]).tobytes())
-            if glb is None:
-                raise NotALatticeError(f'elements {i} and {j} have no greatest lower bound',
-                                       pair=(i, j))
-            jt[i, j] = jt[j, i] = lub
-            mt[i, j] = mt[j, i] = glb
+    jt, mt = np.empty((2, n, n), dtype=np.int32)
+    for r0, (lub,), (glb,) in _bound_blocks(leq[None]):
+        missing = np.argwhere((lub < 0) | (glb < 0))   # symmetric: first has i <= j
+        if len(missing):
+            i, j = missing[0].tolist()
+            bound = 'least upper' if lub[i, j] < 0 else 'greatest lower'
+            raise NotALatticeError(f'elements {r0 + i} and {j} have no {bound} bound',
+                                   pair=(r0 + i, j))
+        jt[r0:r0 + len(lub)], mt[r0:r0 + len(lub)] = lub, glb
     return jt, mt
+
+
+def _is_lattice_stack(leq):
+    'For each transitive order of the stack leq (k, n, n): has every pair a lub and a glb?'
+    ok = np.ones(len(leq), dtype=bool)
+    for _, lub, glb in _bound_blocks(leq):
+        ok &= (np.minimum(lub, glb) >= 0).all(axis=(1, 2))
+    return ok
+
+
+def _bound_block_bytes(n):
+    'Bytes of temporaries per order and row in a block of _bound_blocks.'
+    return n * (18 * -(-n // 64) + 96)
+
+
+def _bound_blocks(leq):
+    '''Row blocks (r0, lub, glb) of each transitive order in the stack leq
+    (k, n, n): lub[s, i - r0, j] is the lub of i and j in leq[s], or -1 if
+    none; glb likewise.  A block's temporaries stay within CHUNK_BYTES.
+
+    c in the set U of common upper bounds has up(c) <= U, so the lub is the c
+    with |up(c)| = |U|: the first element of U in a linear extension, if U
+    lies within its up-set.  Rows are packed into 64-bit words in such an
+    extension, so U is one AND and its first element the lowest set bit.'''
+    k, n, _ = leq.shape
+    packed = []
+    for m in (leq, np.swapaxes(leq, 1, 2)):     # glbs are the lubs of the dual
+        order = np.argsort(-m.sum(axis=-1), axis=-1, kind='stable')
+        bits = np.zeros((k, n, -(-n // 64) * 64), dtype=bool)
+        bits[..., :n] = np.take_along_axis(m, order[:, None, :], axis=-1)
+        packed.append((order, np.packbits(bits, axis=-1, bitorder='little').view('<u8')))
+    del bits
+    step = max(1, CHUNK_BYTES // max(1, k * _bound_block_bytes(n)))
+    for r0 in range(0, n, step):
+        yield r0, *(_lub_block(*p, slice(r0, r0 + step)) for p in packed)
+
+
+def _lub_block(order, words, rows):
+    'The lubs of `rows` in _bound_blocks, from one (order, words) pair.'
+    u = words[:, rows, None, :] & words[:, None, :, :]
+    first = (u != 0).argmax(axis=-1)
+    w = np.take_along_axis(u, first[..., None], axis=-1)[..., 0]
+    low = np.frexp(w & (~w + np.uint64(1)))[1] - 1          # lowest set bit of w
+    c = np.take_along_axis(order[:, None, :], first * 64 + low, axis=-1)
+    found = (w != 0) & (words[np.arange(len(words))[:, None, None], c] == u).all(axis=-1)
+    return np.where(found, c, -1)
 
 
 def _transitive_closure_matrix(rel):

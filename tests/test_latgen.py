@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_order_bytes, lattice_classes_by_brute_force
-from latmeet import latgen
+from latmeet import latgen, lattice
 from latmeet.errors import (AntisymmetryError, AugmentationError,
-                            BudgetExceededError, SizeUnreachableError)
+                            BudgetExceededError, NotALatticeError,
+                            SizeUnreachableError)
 from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
                             OrderRelation, augment, canonical_key,
                             conjecture_search, free_pairs,
@@ -18,7 +20,8 @@ from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
                             node_steps, random_distributive_lattice,
                             random_lattice, relation_of, to_lattice,
                             transitive_closure)
-from latmeet.lattice import TABLE_LIMIT, Lattice, chain, m_n, powerset
+from latmeet.lattice import (TABLE_LIMIT, Lattice, chain, from_cover_relation, from_leq,
+                             m_n, powerset)
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 
@@ -40,6 +43,7 @@ def test_is_lattice_relation():
     two_tops = np.eye(3, dtype=bool)
     two_tops[0, 1] = two_tops[0, 2] = True
     assert not is_lattice_relation(OrderRelation(two_tops))
+    assert not is_lattice_relation(OrderRelation(np.zeros((0, 0), dtype=bool)))
 
 
 def test_free_pairs_definition_is_self_consistent():
@@ -331,3 +335,210 @@ def test_conjecture_search_reports_planted_counterexample(monkeypatch):
 def test_conjecture_search_cap():
     with pytest.raises(BudgetExceededError):
         conjecture_search(latgen.CONJECTURE_CAP + 1)
+
+
+# -- the vectorised lattice test against the per-candidate code it replaced -----
+
+# sha256 prefixes of leq (bool), the join and meet tables (int32, C order) and
+# the label of random_lattice(n, seed), recorded with the code that built a
+# Lattice per candidate pair.
+RANDOM_LATTICE_DIGESTS = {
+    (8, 0): ('c30bfcb6169bf42d', '28e91fa26bc86e29', '0878b43147d68095', 'b419a14dd3a2cbf2'),
+    (8, 1): ('64040fbd783c2c24', '5d676c9e722e2908', 'd06874ffa332c41c', 'b419a14dd3a2cbf2'),
+    (8, 2): ('e3003cdd6be7cd58', '36845ae2d041759e', 'a6d99c1d2c25cbc5', 'b419a14dd3a2cbf2'),
+    (8, 3): ('f63410a7d824b48f', 'dd8bb3b7dabade61', '4f7f778b7261b71d', 'b419a14dd3a2cbf2'),
+    (8, 4): ('f2f2dd6181f19889', '21077c1480b41559', '93e48f259358ba6a', 'b419a14dd3a2cbf2'),
+    (8, 5): ('3d27f989f1b076f9', '6f85f89f936e7b67', '06dadcf36b8b2292', 'b419a14dd3a2cbf2'),
+    (16, 0): ('43279c2415dd3cdd', 'b356bda840d0987c', '0512a612ee28f020', 'ee9d03d1110fb5c7'),
+    (16, 1): ('a1d90edbbe7b67fb', '9a6448ed8333e156', '228550fcc88fbd98', 'ee9d03d1110fb5c7'),
+    (16, 2): ('6a8861b8e29938d0', '6b051a7f39043bde', '6e186a59db71e67c', 'ee9d03d1110fb5c7'),
+    (16, 3): ('aac1045e5d5cb157', '8c943107e6a75c5c', '307e74587c6283e0', 'ee9d03d1110fb5c7'),
+    (16, 4): ('5b77002be1ec0950', '357ea1dd03549137', 'f938fef06c25b3a0', 'ee9d03d1110fb5c7'),
+    (16, 5): ('ecab90d261e6bda2', '9cbcb0161041d095', '6ca7f2892ff2eda9', 'ee9d03d1110fb5c7'),
+    (20, 0): ('354d2dbf123c75a1', '3c5223fc07f30292', '34b059201c3c02c2', '9364998798e44711'),
+    (20, 1): ('f0de90f7af1bf7ee', '1a9b601935b4b090', 'b7b9f6135d8ff615', '9364998798e44711'),
+    (20, 2): ('beec75f392b3c1b3', '657a34969b5b08f2', 'ece9b474029d2591', '9364998798e44711'),
+    (20, 3): ('91675b2f918129a2', 'df1cbb142543efde', '2684acb1899fa268', '9364998798e44711'),
+    (20, 4): ('82413a9a31a21796', '0643394bd8a39ce4', '9171800d1f0b1fe2', '9364998798e44711'),
+    (20, 5): ('e78a3f451523b303', 'cf34c14faf93fe38', 'd4aff58fc912abe7', '9364998798e44711'),
+    (24, 0): ('61c36e27be7d8709', 'aa67d38871165e09', '119725f3d97941c9', 'e143bd2f8ce590e0'),
+    (24, 1): ('718e08e794d75bab', '4d9a718cca7c3575', '7fd96ac1c7fdc9c6', 'e143bd2f8ce590e0'),
+    (24, 2): ('16e6b9d3d0739dc5', '73d5c06d69bf0225', 'c37a3ccd5bb38930', 'e143bd2f8ce590e0'),
+    (24, 3): ('4f19734d5e4f8015', '4846487e72e85544', '9ef6037178a7fe3b', 'e143bd2f8ce590e0'),
+    (24, 4): ('9d83131857e5aa9e', '0a98f9b86c9ed587', '075a808a1fabc1d1', 'e143bd2f8ce590e0'),
+    (24, 5): ('3baa843e631d4fd7', '0ddbd88cbe38d3fa', '424f9a340e0ccd5f', 'e143bd2f8ce590e0'),
+    (32, 0): ('c08a71baf180d7dc', 'bd958c598abb1c1f', 'dd5e081bd51d1ac8', '6957502e24321151'),
+    (32, 1): ('49b7c0b7f9b030a1', 'cbcf230c4151b119', '1da3cfb19c72506d', '6957502e24321151'),
+    (32, 2): ('3729ae4f2495a352', 'f4a9d193aa094a10', '884c97edc9823fb5', '6957502e24321151'),
+    (32, 3): ('192330dfccaa1511', '8186fd4808187f2a', 'f8db95715f752e95', '6957502e24321151'),
+    (32, 4): ('2173a32223062e20', 'af3e108465eebc43', 'db6db84fa00858c6', '6957502e24321151'),
+    (32, 5): ('1502570db4297ab9', '86e3b046bd13d011', '922ef83f280b1482', '6957502e24321151'),
+    (48, 0): ('a05f99ab7c974034', '3f18aa47bc7d5d6c', '2af61e243c899c32', '26d5d2935fe3d980'),
+    (48, 1): ('185703f48be2bb0c', '0ddf14dc55e7bdbf', 'cf8fcf6e44d1fbac', '26d5d2935fe3d980'),
+    (48, 2): ('e33975ad13c40881', '6285f6e3aef6078c', 'f3c1291735b2b51b', '26d5d2935fe3d980'),
+    (48, 3): ('d8fee3acacbb0ec2', '6b61c885499bb712', '3961320d6feb7e83', '26d5d2935fe3d980'),
+    (48, 4): ('38ed7ccb3845f6e6', '608ea62d29895981', 'dffb4ef51e72dfc7', '26d5d2935fe3d980'),
+    (48, 5): ('a6ce03bb7ed5dc0b', '947706b9f5df3316', 'c72dd23dd983ef09', '26d5d2935fe3d980'),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize('n', [8, 16, 20, 24, 32, 48])
+def test_random_lattice_goldens(n):
+    for seed in range(6):
+        lat = random_lattice(n, seed=seed)
+        got = (_sha(np.ascontiguousarray(lat.leq, bool).tobytes()),
+               _sha(np.ascontiguousarray(lat.join_table, np.int32).tobytes()),
+               _sha(np.ascontiguousarray(lat.meet_table, np.int32).tobytes()),
+               _sha(lat.label.encode()))
+        assert got == RANDOM_LATTICE_DIGESTS[n, seed], (n, seed)
+
+
+def scalar_tables_from_leq(leq):
+    '''The per-pair loop that derived join/meet tables before the vectorised
+    test: lub(a, b) is the element whose up-set is up(a) & up(b).'''
+    n = leq.shape[0]
+    up_id = {leq[i].tobytes(): i for i in range(n)}
+    geq = np.ascontiguousarray(leq.T)
+    dn_id = {geq[i].tobytes(): i for i in range(n)}
+    jt = np.empty((n, n), dtype=np.int32)
+    mt = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        up_i, dn_i = leq[i], geq[i]
+        for j in range(i, n):
+            lub = up_id.get((up_i & leq[j]).tobytes())
+            if lub is None:
+                raise NotALatticeError(f'elements {i} and {j} have no least upper bound',
+                                       pair=(i, j))
+            glb = dn_id.get((dn_i & geq[j]).tobytes())
+            if glb is None:
+                raise NotALatticeError(f'elements {i} and {j} have no greatest lower bound',
+                                       pair=(i, j))
+            jt[i, j] = jt[j, i] = lub
+            mt[i, j] = mt[j, i] = glb
+    return jt, mt
+
+
+def scalar_is_lattice_relation(m):
+    'Transitive, nonempty, and the scalar loop finds every lub and glb.'
+    if len(m) == 0 or ((m @ m) & ~m).any():
+        return False
+    try:
+        scalar_tables_from_leq(m)
+    except NotALatticeError:
+        return False
+    return True
+
+
+def _closes_to_lattice(matrix):
+    try:
+        closed = transitive_closure(OrderRelation(matrix, check=False))
+    except AntisymmetryError:
+        return False
+    return scalar_is_lattice_relation(closed.matrix)
+
+
+def definitional_free_pairs(rel):
+    'Add each pair, close it by repeated squaring, and run the scalar check.'
+    out = []
+    for a in range(rel.n):
+        for b in range(rel.n):
+            if a != b and not rel.le(a, b):
+                m = rel.matrix.copy()
+                m[a, b] = True
+                if _closes_to_lattice(m):
+                    out.append((a, b))
+    return out
+
+
+def definitional_node_steps(rel):
+    'Wedge a new element between each pair, close it, and run the scalar check.'
+    n, out = rel.n, []
+    for a in range(n):
+        for b in range(n):
+            m = np.eye(n + 1, dtype=bool)
+            m[:n, :n] = rel.matrix
+            m[a, n] = m[n, b] = True
+            if a != b and _closes_to_lattice(m):
+                out.append(NodeStep(a, b))
+    return out
+
+
+def test_free_pairs_and_node_steps_match_the_definition_up_to_seven():
+    for size, lats in generate_all_lattices(7).items():
+        for lat in lats:
+            rel = relation_of(lat)
+            assert free_pairs(rel) == definitional_free_pairs(rel), lat.label
+            assert node_steps(rel) == definitional_node_steps(rel), lat.label
+
+
+@pytest.mark.parametrize('n, seed', [(16, 0), (16, 3), (20, 1), (24, 2), (32, 4)])
+def test_free_pairs_match_the_definition_on_random_lattices(n, seed):
+    rel = relation_of(random_lattice(n, seed=seed))
+    assert free_pairs(rel) == definitional_free_pairs(rel)
+
+
+@st.composite
+def closed_relations(draw, n=None):
+    '''A transitive closure of random pairs under a random labelling, with a
+    bottom and a top glued on half the time, so lattices are drawn often.'''
+    n = draw(st.integers(1, 8)) if n is None else n
+    m = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = draw(st.booleans())
+    if draw(st.booleans()):
+        m[0, :] = m[:, n - 1] = True
+    perm = np.array(draw(st.permutations(range(n))))
+    return transitive_closure(OrderRelation(m[np.ix_(perm, perm)])).matrix
+
+
+def _tables_or_error(derive, leq):
+    try:
+        jt, mt = derive(leq)
+    except NotALatticeError as exc:
+        return str(exc), exc.pair
+    return jt.tolist(), mt.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_relations(), st.sampled_from([lattice.CHUNK_BYTES, 1]))
+def test_tables_match_the_scalar_loop(leq, budget):
+    '''Same tables, or the same error message and pair; a budget of one byte
+    puts every row in a block of its own.'''
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, 'CHUNK_BYTES', budget)
+        assert (_tables_or_error(lattice._tables_from_leq, leq)
+                == _tables_or_error(scalar_tables_from_leq, leq))
+        assert is_lattice_relation(OrderRelation(leq)) == scalar_is_lattice_relation(leq)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(closed_relations(n), min_size=1, max_size=6)))
+def test_stacked_lattice_test_matches_one_at_a_time(stack):
+    got = lattice._is_lattice_stack(np.array(stack))
+    assert got.tolist() == [scalar_is_lattice_relation(m) for m in stack]
+
+
+def test_table_errors_name_the_first_pair_lub_before_glb():
+    with pytest.raises(NotALatticeError) as err:
+        from_leq(np.eye(2, dtype=bool))
+    assert str(err.value) == 'elements 0 and 1 have no least upper bound'
+    assert err.value.pair == (0, 1)
+    with pytest.raises(NotALatticeError) as err:
+        from_cover_relation(3, [(0, 2), (1, 2)])
+    assert str(err.value) == 'elements 0 and 1 have no greatest lower bound'
+    assert err.value.pair == (0, 1)
+
+
+def test_is_lattice_relation_lets_internal_errors_through(monkeypatch):
+    def broken(leq):
+        raise TypeError('a bug, not a verdict')
+
+    monkeypatch.setattr(latgen, '_is_lattice_stack', broken)
+    with pytest.raises(TypeError):
+        is_lattice_relation(relation_of(chain(3)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import glb_from_order, lub_from_order
 from latmeet.errors import (BudgetExceededError, NotALatticeError,
                             NotDistributiveError)
-from latmeet.lattice import (Lattice, PowersetLattice, build, chain,
+from latmeet.latgen import random_distributive_lattice
+from latmeet.lattice import (CHUNK_BYTES, Lattice, PowersetLattice, build, chain,
                              from_cover_relation, from_leq, m_n, powerset,
                              product, read_cover_file, write_cover_file)
 
@@ -247,3 +249,20 @@ def test_powerset_ops_are_bitwise(m, data):
     assert lat.meet(a, b) == a & b
     assert lat.subtraction(a, b) == a & ~b
     assert lat.le(a, b) == (a | b == b)
+
+
+def test_table_derivation_peaks_at_two_tables_plus_the_chunk_budget():
+    '''At n = 1024 the tables take 8 MiB; an n^3 broadcast would need about a
+    GiB, and the blocks of the vectorised test stay within CHUNK_BYTES.'''
+    source = random_distributive_lattice(1024, seed=1)
+    n = source.n
+    tracemalloc.start()
+    try:
+        lat = Lattice(source.leq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 1024
+    assert peak <= 2 * 4 * n * n + CHUNK_BYTES
+    assert np.array_equal(lat.join_table, source.join_table)
+    assert np.array_equal(lat.meet_table, source.meet_table)

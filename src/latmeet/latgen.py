@@ -7,11 +7,13 @@ edge steps, deduplicating up to isomorphism; random generation walks the same
 steps with a seeded generator.  The conjecture hunt compares endomorphism
 counts across distributive single-pair augmentations.
 
+Every step closes by one closed form: adding a <= b to a closed order gives
+leq | down(a) x up(b), and a node step adds x with down(a) < x < up(b).
 Free pairs are the pairs (a,b), a not below b, whose single-pair closure is
-a lattice relation.  In a closed order that closure is leq | down(a) x up(b),
-a cycle iff b <= a; the closures of all incomparable pairs are tested as one
-stack.  An order is a lattice iff each pair has a common upper bound c with
-|up(c)| = the number of common upper bounds (c is their join), and dually.
+a lattice relation.  Candidate closures are tested as stacks, each once, and
+exhaustive generation keeps the accepted ones.  An order is a lattice iff
+each pair has a common upper bound c with |up(c)| = the number of common
+upper bounds (c is their join), and dually.
 '''
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ import numpy as np
 from .endo import count_join_endomorphisms
 from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
                      OutOfRangeError, SizeUnreachableError)
-from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _is_lattice_stack,
-                      _transitive_closure_matrix, chain, from_leq)
+from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bool_product, _bound_block_bytes,
+                      _is_lattice_stack, chain, from_leq)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -80,20 +82,12 @@ class NodeStep:
     above: int
 
 
-def transitive_closure(rel):
-    'Close under composition; a 2-cycle in the closure is an error.'
-    m = _transitive_closure_matrix(rel.matrix)
-    if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
-        raise AntisymmetryError('transitive closure creates a cycle')
-    return OrderRelation(m, check=False)
-
-
 def is_lattice_relation(rel):
     '''True when rel is a complete lattice relation: a transitive partial
     order in which every pair has a unique least upper and greatest lower
     bound (top and bottom follow).'''
     m = rel.matrix
-    return (len(m) > 0 and not ((m @ m) & ~m).any()
+    return (len(m) > 0 and not (_bool_product(m, m) & ~m).any()
             and bool(_is_lattice_stack(m[None])[0]))
 
 
@@ -108,63 +102,61 @@ def relation_of(lattice):
 def free_pairs(rel):
     '''All ordered pairs (a,b), a not below b, whose single-pair closure is
     still a lattice relation, row-major; rel must be transitive.'''
-    m = rel.matrix
-    closures = lambda a, b: m | (m.T[a, :, None] & m[b, None, :])
-    return list(map(tuple, _lattice_pairs(np.argwhere(~(m | m.T)), closures, rel.n)))
+    return [pair for pair, _ in _accepted_steps(rel.matrix)]
 
 
-def _lattice_pairs(pairs, closures, size):
-    '''The rows (a, b) of `pairs` whose closure, from the stack closures(a, b)
-    of size x size orders, is a lattice relation; chunked within CHUNK_BYTES.'''
-    per = max(1, CHUNK_BYTES // (size * _bound_block_bytes(size)))
-    out = []
-    for chunk in (pairs[p:p + per] for p in range(0, len(pairs), per)):
-        out += chunk[_is_lattice_stack(closures(*chunk.T))].tolist()
-    return out
+def node_steps(rel):
+    'All valid node augmentation steps of rel, row-major; rel must be transitive.'
+    return [NodeStep(a, b) for (a, b), _ in _accepted_steps(rel.matrix, node=True)]
 
 
 def augment(rel, step):
-    'Apply an augmentation step; the closed result must be a lattice relation.'
+    '''Apply an augmentation step to the transitive relation rel, an edge
+    step's pairs in turn; the closed result must be a lattice relation.'''
     if isinstance(step, EdgeStep):
-        m = rel.matrix.copy()
-        m.setflags(write=True)
-        for a, b in step.pairs:
-            m[a, b] = True
-        return _close_checked(m, step)
-    if isinstance(step, NodeStep):
-        n = rel.n
-        if not (0 <= step.below < n and 0 <= step.above < n):
-            raise AugmentationError(f'node step endpoints out of range: {step}')
-        m = np.zeros((n + 1, n + 1), dtype=bool)
-        m[:n, :n] = rel.matrix
-        m[n, n] = True
-        m[step.below, n] = True
-        m[n, step.above] = True
-        return _close_checked(m, step)
-    raise TypeError(f'not an augmentation step: {step!r}')
-
-
-def _close_checked(matrix, step):
-    try:
-        closed = transitive_closure(OrderRelation(matrix, check=False))
-    except AntisymmetryError as exc:
-        raise AugmentationError(f'{step} creates a cycle') from exc
+        pairs, node = sorted(step.pairs), False
+    elif isinstance(step, NodeStep):
+        pairs, node = [(step.below, step.above)], True
+    else:
+        raise TypeError(f'not an augmentation step: {step!r}')
+    if not all(0 <= x < rel.n for pair in pairs for x in pair):
+        raise AugmentationError(f'step endpoints out of range: {step}')
+    m = rel.matrix
+    for a, b in pairs:
+        m = _step_closures(m, [a], [b], node)[0]
+    if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
+        raise AugmentationError(f'{step} creates a cycle')
+    closed = OrderRelation(m, check=False)
     if not is_lattice_relation(closed):
         raise AugmentationError(f'{step} does not yield a lattice relation')
     return closed
 
 
-def node_steps(rel):
-    '''All valid node augmentation steps of rel, row-major; rel must be transitive.
-    A new x with a < x < b closes to leq | down(a) x up(b) plus down(a) < x < up(b).'''
-    m, n = rel.matrix, rel.n
+def _step_closures(m, a, b, node=False):
+    '''The closures, stacked, of the steps (a[i], b[i]) on the transitive order
+    m: adding a <= b gives m | down(a) x up(b) (a cycle iff b < a), and a node
+    step adds a last x with down(a) < x < up(b) (a cycle iff b <= a).'''
+    closed = m | (m.T[a, :, None] & m[b, None, :])
+    if not node:
+        return closed
+    n = len(m)
+    out = np.ones((len(closed), n + 1, n + 1), dtype=bool)
+    out[:, :n, :n] = closed
+    out[:, :n, n], out[:, n, :n] = m.T[a], m[b]
+    return out
 
-    def closures(a, b):
-        out = np.ones((len(a), n + 1, n + 1), dtype=bool)
-        out[:, :n, :n] = m | (m.T[a, :, None] & m[b, None, :])
-        out[:, :n, n], out[:, n, :n] = m.T[a], m[b]
-        return out
-    return [NodeStep(a, b) for a, b in _lattice_pairs(np.argwhere(~m.T), closures, n + 1)]
+
+def _accepted_steps(m, node=False):
+    '''The steps (a, b) on the transitive order m whose closures are lattice
+    relations, with those closures, row-major, tested in blocks within CHUNK_BYTES.
+    Edge candidates are the incomparable pairs, node candidates those with b not <= a.'''
+    pairs = np.argwhere(~m.T if node else ~(m | m.T))
+    size = len(m) + node
+    per = max(1, CHUNK_BYTES // (size * _bound_block_bytes(size)))
+    for chunk in (pairs[p:p + per] for p in range(0, len(pairs), per)):
+        closures = _step_closures(m, *chunk.T, node)
+        ok = _is_lattice_stack(closures)
+        yield from zip(map(tuple, chunk[ok].tolist()), closures[ok])
 
 
 def canonical_key(rel):
@@ -177,7 +169,7 @@ def canonical_key(rel):
     m = rel.matrix
     n = rel.n
     lt = m & ~np.eye(n, dtype=bool)
-    covers = lt & ~(lt @ lt)
+    covers = lt & ~_bool_product(lt, lt)
     degrees = np.stack([m.sum(0), m.sum(1), covers.sum(0), covers.sum(1)], axis=1)
     colors = _intern(list(map(tuple, degrees.tolist())))
     while True:
@@ -217,27 +209,21 @@ def generate_all_lattices(n_max):
         raise BudgetExceededError(f'generation capped at {GENERATION_CAP} elements')
     if n_max < 1:
         raise OutOfRangeError(f'n_max must be positive, got {n_max}')
-    by_size = {1: [relation_of(chain(1))]}
-    if n_max >= 2:
-        by_size[2] = [relation_of(chain(2))]
-    for size in range(3, n_max + 1):
-        found = {}
-        queue = []
-        for rel in by_size[size - 1]:
-            for step in node_steps(rel):
-                grown = augment(rel, step)
-                key = canonical_key(grown)
-                if key not in found:
-                    found[key] = grown
-                    queue.append(grown)
+    by_size = {k: [relation_of(chain(k))] for k in range(1, min(n_max, 2) + 1)}
+
+    def closures(smaller, queue):
+        for rel in smaller:
+            yield from _accepted_steps(rel.matrix, node=True)
         while queue:
-            rel = queue.pop()
-            for pair in free_pairs(rel):
-                grown = augment(rel, EdgeStep([pair]))
-                key = canonical_key(grown)
-                if key not in found:
-                    found[key] = grown
-                    queue.append(grown)
+            yield from _accepted_steps(queue.pop().matrix)
+    for size in range(3, n_max + 1):
+        found, queue = {}, []
+        for _, m in closures(by_size[size - 1], queue):
+            grown = OrderRelation(m, check=False)
+            key = canonical_key(grown)
+            if key not in found:
+                found[key] = grown
+                queue.append(grown)
         by_size[size] = [found[key] for key in sorted(found)]
     return {
         size: [to_lattice(rel, label=f'gen:{size}:{i}')

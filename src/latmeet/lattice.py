@@ -206,7 +206,7 @@ class Lattice(LatticeBase):
     def _cover_matrix(self):
         'cover[a, b] is true when b covers a.'
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return lt & ~(lt @ lt)
+        return lt & ~_bool_product(lt, lt)
 
     def covers_of(self, a):
         'Elements covered by a (lower covers), ascending.'
@@ -484,7 +484,7 @@ def from_cover_relation(n, edges, label='cover-relation'):
         a, b = np.argwhere(bad)[0]
         raise NotALatticeError(f'cover edges create a cycle through {a} and {b}',
                                pair=(int(a), int(b)))
-    return Lattice(closed, label=label)
+    return Lattice(closed, label=label, check=False)    # a closure, checked acyclic
 
 
 def product(a, b, label=None):
@@ -575,7 +575,7 @@ def _check_partial_order(leq):
         a, b = np.argwhere(sym)[0]
         raise NotALatticeError(f'order is not antisymmetric at ({a}, {b})',
                                pair=(int(a), int(b)))
-    if ((leq @ leq) & ~leq).any():
+    if (_bool_product(leq, leq) & ~leq).any():
         raise NotALatticeError('order is not transitive')
 
 
@@ -641,10 +641,23 @@ def _lub_block(order, words, rows):
     return np.where(found, c, -1)
 
 
+def _bool_product(x, y):
+    '''The bool matrix product x @ y by float32 (BLAS) products of row blocks
+    within CHUNK_BYTES; numpy's bool matmul has no BLAS path.  Exact, as a sum
+    of 0/1 terms stays positive under any rounding.'''
+    k, m = y.shape
+    yf = y.astype(np.float32)
+    out = np.empty((len(x), m), dtype=bool)
+    step = max(1, CHUNK_BYTES // max(1, 4 * k + 5 * m))
+    for r0 in range(0, len(x), step):
+        np.greater(x[r0:r0 + step].astype(np.float32) @ yf, 0, out=out[r0:r0 + step])
+    return out
+
+
 def _transitive_closure_matrix(rel):
     closed = rel.copy()
     while True:
-        nxt = closed | (closed @ closed)
+        nxt = closed | _bool_product(closed, closed)
         if np.array_equal(nxt, closed):
             return nxt
         closed = nxt

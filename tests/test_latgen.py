@@ -18,12 +18,19 @@ from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
                             conjecture_search, free_pairs,
                             generate_all_lattices, is_lattice_relation,
                             node_steps, random_distributive_lattice,
-                            random_lattice, relation_of, to_lattice,
-                            transitive_closure)
-from latmeet.lattice import (TABLE_LIMIT, Lattice, chain, from_cover_relation, from_leq,
-                             m_n, powerset)
+                            random_lattice, relation_of, to_lattice)
+from latmeet.lattice import (TABLE_LIMIT, Lattice, _transitive_closure_matrix, chain,
+                             from_cover_relation, from_leq, m_n, powerset)
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+
+
+def transitive_closure(rel):
+    'Close under composition; a 2-cycle in the closure is an error.'
+    m = _transitive_closure_matrix(rel.matrix)
+    if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
+        raise AntisymmetryError('transitive closure creates a cycle')
+    return OrderRelation(m, check=False)
 
 
 def test_transitive_closure_and_cycle_detection():
@@ -118,6 +125,29 @@ def test_augment_edge_node_mixed():
     diamond = relation_of(powerset(2))
     with pytest.raises(AugmentationError):
         augment(diamond, NodeStep(below=3, above=0))
+    for step in (EdgeStep([(0, 4)]), EdgeStep([(-1, 1)]), NodeStep(0, 4)):
+        with pytest.raises(AugmentationError, match='out of range'):
+            augment(diamond, step)
+
+
+def test_augment_refuses_a_non_transitive_relation():
+    '''augment needs a transitive rel.  The 4-chain without 0 <= 3 is refused
+    by steps that do not add 0 <= 3; a step that does, such as 1 <= 2 (which
+    brings down(1) x up(2)), closes it, and augment returns the closure.'''
+    m = np.eye(4, dtype=bool)
+    for a, b in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]:
+        m[a, b] = True
+    rel = OrderRelation(m)
+    for step in (EdgeStep([]), EdgeStep([(0, 0)]), EdgeStep([(3, 3)])):
+        with pytest.raises(AugmentationError, match='does not yield a lattice'):
+            augment(rel, step)
+    assert augment(rel, EdgeStep([(1, 2)])).matrix.tolist() == chain(4).leq.tolist()
+    for a in range(4):
+        for b in range(4):
+            for step, matrix in ((EdgeStep([(a, b)]), _edge_matrix(rel, [(a, b)])),
+                                 (NodeStep(a, b), _node_matrix(rel, a, b))):
+                got = _augment_or_none(rel, step)
+                assert got is None or got == _reference_closure(matrix), step
 
 
 def test_node_steps_grow_by_one():
@@ -433,46 +463,77 @@ def scalar_is_lattice_relation(m):
     return True
 
 
-def _closes_to_lattice(matrix):
+def _reference_closure(matrix):
+    '''The closure of matrix by repeated squaring, as nested lists, or None
+    if it has a cycle or the scalar check finds no lattice relation.'''
     try:
-        closed = transitive_closure(OrderRelation(matrix, check=False))
+        closed = transitive_closure(OrderRelation(matrix, check=False)).matrix
     except AntisymmetryError:
-        return False
-    return scalar_is_lattice_relation(closed.matrix)
+        return None
+    return closed.tolist() if scalar_is_lattice_relation(closed) else None
+
+
+def _augment_or_none(rel, step):
+    try:
+        return augment(rel, step).matrix.tolist()
+    except AugmentationError:
+        return None
+
+
+def _edge_matrix(rel, pairs):
+    m = rel.matrix.copy()
+    for a, b in pairs:
+        m[a, b] = True
+    return m
+
+
+def _node_matrix(rel, a, b):
+    'A new last element x with a <= x <= b, unclosed.'
+    n = rel.n
+    m = np.eye(n + 1, dtype=bool)
+    m[:n, :n] = rel.matrix
+    m[a, n] = m[n, b] = True
+    return m
 
 
 def definitional_free_pairs(rel):
     'Add each pair, close it by repeated squaring, and run the scalar check.'
-    out = []
-    for a in range(rel.n):
-        for b in range(rel.n):
-            if a != b and not rel.le(a, b):
-                m = rel.matrix.copy()
-                m[a, b] = True
-                if _closes_to_lattice(m):
-                    out.append((a, b))
-    return out
+    return [(a, b) for a in range(rel.n) for b in range(rel.n)
+            if a != b and not rel.le(a, b)
+            and _reference_closure(_edge_matrix(rel, [(a, b)])) is not None]
 
 
 def definitional_node_steps(rel):
     'Wedge a new element between each pair, close it, and run the scalar check.'
-    n, out = rel.n, []
-    for a in range(n):
-        for b in range(n):
-            m = np.eye(n + 1, dtype=bool)
-            m[:n, :n] = rel.matrix
-            m[a, n] = m[n, b] = True
-            if a != b and _closes_to_lattice(m):
-                out.append(NodeStep(a, b))
-    return out
+    return [NodeStep(a, b) for a in range(rel.n) for b in range(rel.n)
+            if a != b and _reference_closure(_node_matrix(rel, a, b)) is not None]
 
 
 def test_free_pairs_and_node_steps_match_the_definition_up_to_seven():
+    '''free_pairs and node_steps are the definitional loops.  augment returns
+    the reference closure, or raises exactly when that is no lattice relation,
+    for the edge and node step of every (a, b), a == b and b < a included,
+    and for one two-pair edge step per lattice (first and last incomparable
+    pair), which over the corpus both grows and fails.'''
+    two_pair_outcomes = set()
     for size, lats in generate_all_lattices(7).items():
         for lat in lats:
             rel = relation_of(lat)
             assert free_pairs(rel) == definitional_free_pairs(rel), lat.label
             assert node_steps(rel) == definitional_node_steps(rel), lat.label
+            for a in range(size):
+                for b in range(size):
+                    for step, matrix in ((EdgeStep([(a, b)]), _edge_matrix(rel, [(a, b)])),
+                                         (NodeStep(a, b), _node_matrix(rel, a, b))):
+                        assert _augment_or_none(rel, step) == _reference_closure(matrix), \
+                            (lat.label, step)
+            incomparable = np.argwhere(~(rel.matrix | rel.matrix.T)).tolist()
+            if len(incomparable) >= 2:
+                pairs = [tuple(incomparable[0]), tuple(incomparable[-1])]
+                want = _reference_closure(_edge_matrix(rel, pairs))
+                assert _augment_or_none(rel, EdgeStep(pairs)) == want, (lat.label, pairs)
+                two_pair_outcomes.add(want is None)
+    assert two_pair_outcomes == {False, True}
 
 
 @pytest.mark.parametrize('n, seed', [(16, 0), (16, 3), (20, 1), (24, 2), (32, 4)])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import glb_from_order, lub_from_order
+from latmeet import lattice
 from latmeet.errors import (BudgetExceededError, NotALatticeError,
                             NotDistributiveError)
 from latmeet.latgen import random_distributive_lattice
@@ -249,6 +251,20 @@ def test_powerset_ops_are_bitwise(m, data):
     assert lat.meet(a, b) == a & b
     assert lat.subtraction(a, b) == a & ~b
     assert lat.le(a, b) == (a | b == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(0, 40)] * 3).flatmap(
+    lambda shape: st.tuples(arrays(bool, shape[:2]), arrays(bool, shape[1:]))),
+    st.sampled_from([CHUNK_BYTES, 1]))
+def test_bool_product_matches_numpy(xy, budget):
+    '''The float32 block product is numpy's bool matmul, empty sides included;
+    a budget of one byte puts every row in a block of its own.'''
+    x, y = xy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, 'CHUNK_BYTES', budget)
+        got = lattice._bool_product(x, y)
+    assert got.dtype == bool and np.array_equal(got, x @ y)
 
 
 def test_table_derivation_peaks_at_two_tables_plus_the_chunk_budget():

@@ -2,7 +2,7 @@
 
 E(L) is a complete lattice under the pointwise order, so any nonempty family
 S has a greatest lower bound there; note it is generally NOT the pointwise
-meet.  Six routes compute it:
+meet.  Seven routes compute it:
 
   brute_force_meet   enumerate E(L), join everything below S          (oracle)
   a1_naive           meet of f(a) join g(b) over all pairs a join b >= c
@@ -10,9 +10,10 @@ meet.  Six routes compute it:
   dmeet_plus         meet on irreducibles, forced joins elsewhere
   gmeet              decrease the pointwise meet until joins are preserved
   gmeet_plus         same, with support/conflict/failure bookkeeping
+  gmeet_plus_modular gmeet_plus over cover pairs only
 
-a1/dmeet/dmeet_plus require a distributive lattice; gmeet_plus_modular runs
-gmeet_plus over cover pairs only, which is sound on modular lattices.  ROUTES
+a1/dmeet/dmeet_plus require a distributive lattice; gmeet_plus_modular is
+sound on modular lattices.  ROUTES
 is the one table of routes and the domain each requires; check_precondition
 raises the typed error for a lattice outside it.  Every algorithm reports
 how many binary lattice operations it performed and, for the iterative

@@ -27,7 +27,7 @@ from .endo import count_join_endomorphisms
 from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
                      OutOfRangeError, SizeUnreachableError)
 from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bool_product, _bound_block_bytes,
-                      _is_lattice_stack, chain, from_leq)
+                      _covers, _is_lattice_stack, chain, from_leq)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -168,8 +168,7 @@ def canonical_key(rel):
     that respect the final color classes.'''
     m = rel.matrix
     n = rel.n
-    lt = m & ~np.eye(n, dtype=bool)
-    covers = lt & ~_bool_product(lt, lt)
+    covers = _covers(m)
     degrees = np.stack([m.sum(0), m.sum(1), covers.sum(0), covers.sum(1)], axis=1)
     colors = _intern(list(map(tuple, degrees.tolist())))
     while True:
@@ -295,7 +294,7 @@ def random_distributive_lattice(n, seed=None, strict=False, attempts=200):
         below = _random_poset(k, rng)
         masks = _downset_masks(below, n)
         if len(masks) == n:
-            return _downset_lattice(below, masks)
+            return _downset_lattice(masks)
     if strict:
         raise SizeUnreachableError(
             f'no sampled poset produced a {n}-element down-set lattice')
@@ -327,22 +326,15 @@ def _downset_masks(below, cap):
     return sorted(masks)
 
 
-def _downset_lattice(below, masks):
+def _downset_lattice(masks):
     '''Element i is the down-set masks[i] (sorted).  By Birkhoff, order is
-    inclusion, join is OR, meet is AND and c - a is the down-closure of
-    c & ~a, which one pass of ORs builds in place, as each below[j] is
-    down-closed.  Masks fit int64: n <= TABLE_LIMIT keeps them to 22 bits.'''
+    inclusion, join is OR and meet is AND.  Masks fit int64: n <= TABLE_LIMIT
+    keeps them to 22 bits.'''
     m = np.array(masks, dtype=np.int64)
-    sub = m[:, None] & ~m[None, :]
-    leq = sub == 0
-    for j, down in enumerate(below):
-        sub |= (sub >> j & 1) * down
-    sub = np.searchsorted(m, sub).astype(np.int32)
-    return Lattice(leq, label=f'downsets:{len(m)}',
+    return Lattice(m[:, None] & ~m[None, :] == 0, label=f'downsets:{len(m)}',
                    join_table=np.searchsorted(m, m[:, None] | m[None, :]),
                    meet_table=np.searchsorted(m, m[:, None] & m[None, :]),
-                   distributive=True, modular=True,
-                   subtraction_fn=lambda c, a: int(sub[c, a]), check=False)
+                   distributive=True, modular=True, check=False)
 
 
 @dataclass

@@ -76,7 +76,7 @@ class Lattice(LatticeBase):
     '''
 
     def __init__(self, leq, label='lattice', join_table=None, meet_table=None,
-                 distributive=None, modular=None, subtraction_fn=None, check=True):
+                 distributive=None, modular=None, check=True):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise NotALatticeError('leq must be a square matrix')
@@ -100,8 +100,6 @@ class Lattice(LatticeBase):
         self.top = int(tops[0])
         self._distributive = distributive
         self._modular = modular
-        self._subtraction_fn = subtraction_fn
-        self._subtraction_table = None
 
     # -- order and operations -------------------------------------------------
 
@@ -169,44 +167,32 @@ class Lattice(LatticeBase):
         return self._meet_table
 
     def subtraction(self, c, a):
-        '''Least b such that a `join` b >= c (co-Heyting subtraction).
+        '''Least b such that a `join` b >= c (co-Heyting subtraction); raises
+        NotDistributiveError on a non-distributive lattice.'''
+        return int(self._subtraction_table[c, a])
 
-        Raises NotDistributiveError when no least such b exists, which can
-        happen only on non-distributive lattices.
-        '''
-        if self._subtraction_fn is not None:
-            return self._subtraction_fn(c, a)
-        if self.is_distributive():
-            if self._subtraction_table is None:
-                self._subtraction_table = self._build_subtraction_table()
-            return int(self._subtraction_table[c, a])
-        b = self.big_meet([e for e in range(self.n) if self.leq[c, self._join_table[a, e]]])
-        if not self.leq[c, self._join_table[a, b]]:
-            raise NotDistributiveError(
-                f'{self.label}: subtraction({c}, {a}) undefined; '
-                f'the meet of candidates is not itself a candidate')
-        return b
-
-    def _build_subtraction_table(self):
-        n, jt = self.n, self._join_table
-        table = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            ge = self.leq[:, jt[a]]          # ge[c, e]: c <= a join e
-            for c in range(n):
-                b = self.big_meet(np.flatnonzero(ge[c]))
-                if not ge[c, b]:
-                    raise NotDistributiveError(
-                        f'{self.label}: subtraction({c}, {a}) undefined')
-                table[c, a] = b
-        return table
+    @cached_property
+    def _subtraction_table(self):
+        '''table[c, a] = c - a.  Subtraction distributes over joins in c, and
+        for an irreducible j, j - a is bottom if j <= a and j otherwise, so
+        column a is extend_by_joins of those values.  Columns run in blocks of
+        about 16 bytes per element and row (the extension's w, jvals and one
+        rank level's lookups), within CHUNK_BYTES.'''
+        if not self.is_distributive():
+            raise NotDistributiveError(f'{self.label}: subtraction needs a distributive lattice')
+        js = np.array(self.join_irreducibles, dtype=np.int32)
+        out = np.empty((self.n, self.n), dtype=np.int32)
+        step = max(1, CHUNK_BYTES // (16 * self.n))
+        for a0 in range(0, self.n, step):
+            below = self.leq[js, a0:a0 + step].T         # below[a, k]: J[k] <= a
+            out[a0:a0 + step] = self.extend_by_joins(np.where(below, self.bottom, js))
+        return out.T
 
     # -- structure -------------------------------------------------------------
 
     @cached_property
     def _cover_matrix(self):
-        'cover[a, b] is true when b covers a.'
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return lt & ~_bool_product(lt, lt)
+        return _covers(self.leq)
 
     def covers_of(self, a):
         'Elements covered by a (lower covers), ascending.'
@@ -444,9 +430,7 @@ def chain(k, label=None):
         label=label if label is not None else f'chain:{k}',
         join_table=np.maximum.outer(r, r),
         meet_table=np.minimum.outer(r, r),
-        distributive=True, modular=True,
-        subtraction_fn=lambda c, a: 0 if c <= a else c,
-        check=False)
+        distributive=True, modular=True, check=False)
 
 
 def powerset(m):
@@ -652,6 +636,12 @@ def _bool_product(x, y):
     for r0 in range(0, len(x), step):
         np.greater(x[r0:r0 + step].astype(np.float32) @ yf, 0, out=out[r0:r0 + step])
     return out
+
+
+def _covers(leq):
+    'cover[a, b] is true when b covers a in the order leq.'
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return lt & ~_bool_product(lt, lt)
 
 
 def _transitive_closure_matrix(rel):

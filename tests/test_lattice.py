@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import glb_from_order, lub_from_order
+from conftest import glb_from_order, lub_from_order, modular7, n5
 from latmeet import lattice
 from latmeet.errors import (BudgetExceededError, NotALatticeError,
                             NotDistributiveError)
-from latmeet.latgen import random_distributive_lattice
+from latmeet.latgen import generate_all_lattices, random_distributive_lattice
 from latmeet.lattice import (CHUNK_BYTES, Lattice, PowersetLattice, build, chain,
                              from_cover_relation, from_leq, m_n, powerset,
                              product, read_cover_file, write_cover_file)
@@ -148,10 +148,8 @@ def _modular_scan(lat):
 
 def test_known_flag_values():
     assert m_n(3).is_modular() and not m_n(3).is_distributive()
-    from conftest import n5
     pent = n5()
     assert not pent.is_modular() and not pent.is_distributive()
-    from conftest import modular7
     mod7 = modular7()
     assert mod7.is_modular() and not mod7.is_distributive()
     assert chain(5).is_distributive()
@@ -159,17 +157,46 @@ def test_known_flag_values():
 
 
 def test_subtraction_galois_property():
-    for lat in (chain(5), powerset(3), product(chain(2), chain(4))):
-        for a in range(lat.n):
-            for b in range(lat.n):
-                for c in range(lat.n):
-                    holds = lat.le(c, lat.join(a, b))
-                    assert holds == lat.le(lat.subtraction(c, a), b)
+    '''c <= a join b iff c - a <= b, for every a, b, c: on chains, powersets,
+    products, mask-built down-set lattices, the chain fallback of
+    random_distributive_lattice and the 13 distributive lattices up to n = 6.'''
+    generated = [lat for lats in generate_all_lattices(6).values()
+                 for lat in lats if lat.is_distributive()]
+    fallback = random_distributive_lattice(7, seed=0, attempts=0)
+    assert len(generated) == 13 and fallback.label == 'downsets:7'
+    masked = [random_distributive_lattice(n, seed=s) for n in (5, 16, 33, 64) for s in range(2)]
+    for lat in (chain(5), powerset(3), product(chain(2), chain(4)),
+                product(chain(3), powerset(2)), fallback, *generated, *masked):
+        r = np.arange(lat.n)
+        sub = np.array([[lat.subtraction(c, a) for a in r] for c in r])
+        holds = lat.leq[r[:, None, None], lat.join_table[None]]     # [c, a, b]: c <= a join b
+        assert np.array_equal(holds, lat.leq[sub[:, :, None], r]), lat.label
 
 
 def test_subtraction_rejects_non_distributive():
-    with pytest.raises(NotDistributiveError):
-        m_n(3).subtraction(1, 2)
+    '''Every (c, a) is refused with the lattice named, even where a least b
+    exists: on mn:3, 1 - 0 would be 1.'''
+    with pytest.raises(NotDistributiveError, match='mn:3'):
+        m_n(3).subtraction(1, 0)
+    for lat in (m_n(3), n5(), modular7()):
+        for c in range(lat.n):
+            for a in range(lat.n):
+                with pytest.raises(NotDistributiveError, match=lat.label):
+                    lat.subtraction(c, a)
+
+
+def test_subtraction_table_peaks_at_the_table_plus_two_chunk_budgets():
+    '''chain(2048)'s table takes 16 MiB; one unblocked extend_by_joins pass
+    over all of its n x n jvals (and n x 2n w) peaks at about 64 MiB.'''
+    lat = chain(2048)
+    lat._join_schedule                  # the structure the derivation reads
+    tracemalloc.start()
+    try:
+        assert lat.subtraction(5, 3) == 5 and lat.subtraction(3, 5) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * lat.n ** 2 + 2 * CHUNK_BYTES
 
 
 def test_from_cover_relation_round_trip(corpus_lattice):

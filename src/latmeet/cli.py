@@ -316,7 +316,7 @@ def _cover_lines(lat, comment):
 
 
 def cmd_latgen_conjecture(args):
-    report = latgen.conjecture_search(args.max_n, seed=args.seed, budget=args.budget)
+    report = latgen.conjecture_search(args.max_n, budget=args.budget)
     lines = [f'augmentation pairs checked: {report.pairs_checked} '
              f'(sizes up to {report.n_max})']
     if report.counterexample is None:

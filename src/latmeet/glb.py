@@ -27,6 +27,8 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
                    pointwise_leq, pointwise_meet_many)
 from .errors import (BudgetExceededError, EmptySetError, NotDistributiveError,
@@ -147,9 +149,10 @@ def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
     '''
     view = _prep(lattice, fs, 'gmeet')
     n = lattice.n
-    if n * (n + 1) // 2 > max_pairs:
-        raise BudgetExceededError(f'gmeet: {n}^2 pair scan exceeds max_pairs={max_pairs}')
-    sigma = [view.big_meet([f.values[u] for f in fs]) for u in range(n)]
+    count = _pair_count(lattice, ALL_PAIRS)
+    if count > max_pairs:
+        raise BudgetExceededError(f'gmeet: {count} pairs exceed max_pairs={max_pairs}')
+    sigma = _pointwise_meet(view, fs)
     reductions = 0
     while True:
         hit = None
@@ -178,6 +181,14 @@ def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
         if on_update is not None:
             on_update(tuple(sigma))
     return MeetResult(Endofunction(lattice, sigma), 'gmeet', view.counts, reductions)
+
+
+def _pointwise_meet(view, fs):
+    'The starting sigma, S met pointwise as a list; |S| meets per element, from top.'
+    sigma = np.full(view.n, view.top)
+    for f in fs:
+        sigma = view.meet_many(sigma, f.array)
+    return sigma.tolist()
 
 
 class GMeetState:
@@ -274,7 +285,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     count = _pair_count(lattice, pair_universe)
     if count > max_pairs:
         raise BudgetExceededError(f'{_tag}: {count} pairs exceed max_pairs={max_pairs}')
-    sigma = [view.big_meet([f.values[u] for f in fs]) for u in range(lattice.n)]
+    sigma = _pointwise_meet(view, fs)
     state = GMeetState(view, sigma, sorted(
         (view.join(u, v), u, v) for u, v in _pair_universe(lattice, pair_universe)))
     reductions = 0

@@ -1,19 +1,21 @@
 '''Lattice generation by augmentation.
 
-A lattice relation grows two ways: an edge augmentation adds order pairs and
-closes transitively; a node augmentation adds a fresh element wedged between
-two existing ones.  Exhaustive generation walks node steps then single-pair
-edge steps, deduplicating up to isomorphism; random generation walks the same
+An order is a square bool matrix, m[a, b] meaning a <= b (`Lattice.leq`).
+It grows two ways: an edge augmentation adds order pairs and closes
+transitively; a node augmentation adds a fresh element wedged between two
+existing ones.  Exhaustive generation walks node steps then single-pair edge
+steps, deduplicating up to isomorphism; random generation walks the same
 steps with a seeded generator.  The conjecture hunt compares endomorphism
 counts across distributive single-pair augmentations.
 
 Every step closes by one closed form: adding a <= b to a closed order gives
-leq | down(a) x up(b), and a node step adds x with down(a) < x < up(b).
+m | down(a) x up(b), and a node step adds x with down(a) < x < up(b).
 Free pairs are the pairs (a,b), a not below b, whose single-pair closure is
 a lattice relation.  Candidate closures are tested as stacks, each once, and
-exhaustive generation keeps the accepted ones.  An order is a lattice iff
-each pair has a common upper bound c with |up(c)| = the number of common
-upper bounds (c is their join), and dually.
+generation keeps the accepted ones; the random walk tests each draw's
+closure directly.  An order is a lattice iff each pair has a common upper
+bound c with |up(c)| = the number of common upper bounds (c is their join),
+and dually.
 '''
 from __future__ import annotations
 
@@ -24,48 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endo import count_join_endomorphisms
-from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
-                     OutOfRangeError, SizeUnreachableError)
-from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bool_product, _bound_block_bytes,
-                      _covers, _is_lattice_stack, chain, from_leq)
+from .errors import (AugmentationError, BudgetExceededError, OutOfRangeError,
+                     SizeUnreachableError)
+from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _covers,
+                      _is_lattice_stack, chain)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
-
-
-class OrderRelation:
-    'A reflexive antisymmetric boolean relation; transitivity is on demand.'
-
-    __slots__ = ('matrix',)
-
-    def __init__(self, matrix, check=True):
-        m = np.array(matrix, dtype=bool)
-        if check:
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError('relation matrix must be square')
-            if not m.diagonal().all():
-                raise ValueError('relation must be reflexive')
-            if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
-                raise AntisymmetryError('relation must be antisymmetric')
-        m.setflags(write=False)
-        self.matrix = m
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    def le(self, a, b):
-        return bool(self.matrix[a, b])
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderRelation)
-                and np.array_equal(self.matrix, other.matrix))
-
-    def __hash__(self):
-        return hash(self.matrix.tobytes())
-
-    def __repr__(self):
-        return f'OrderRelation(n={self.n})'
 
 
 @dataclass(frozen=True)
@@ -82,54 +49,49 @@ class NodeStep:
     above: int
 
 
-def is_lattice_relation(rel):
-    '''True when rel is a complete lattice relation: a transitive partial
-    order in which every pair has a unique least upper and greatest lower
-    bound (top and bottom follow).'''
-    m = rel.matrix
-    return (len(m) > 0 and not (_bool_product(m, m) & ~m).any()
-            and bool(_is_lattice_stack(m[None])[0]))
+def is_lattice_relation(m):
+    '''True when the bool matrix m is a lattice relation: a partial order in
+    which every pair has a least upper and a greatest lower bound.  Shape,
+    reflexivity and antisymmetry are checked here; the bound test rejects a
+    non-transitive m, as i <= j <= k without i <= k leaves no c with up(c)
+    equal to the common upper bounds of i and j.'''
+    return (len(m) > 0 and m.shape == (len(m),) * 2 and bool(m.diagonal().all())
+            and not _has_cycle(m) and bool(_is_lattice_stack(m[None])[0]))
 
 
-def to_lattice(rel, label='generated'):
-    return from_leq(rel.matrix, label=label)
+def _has_cycle(m):
+    return bool((m & m.T & ~np.eye(len(m), dtype=bool)).any())
 
 
-def relation_of(lattice):
-    return OrderRelation(lattice.leq, check=False)
-
-
-def free_pairs(rel):
+def free_pairs(m):
     '''All ordered pairs (a,b), a not below b, whose single-pair closure is
-    still a lattice relation, row-major; rel must be transitive.'''
-    return [pair for pair, _ in _accepted_steps(rel.matrix)]
+    still a lattice relation, row-major; m must be transitive.'''
+    return [pair for pair, _ in _accepted_steps(m)]
 
 
-def node_steps(rel):
-    'All valid node augmentation steps of rel, row-major; rel must be transitive.'
-    return [NodeStep(a, b) for (a, b), _ in _accepted_steps(rel.matrix, node=True)]
+def node_steps(m):
+    'All valid node augmentation steps of the order m, row-major; m must be transitive.'
+    return [NodeStep(a, b) for (a, b), _ in _accepted_steps(m, node=True)]
 
 
-def augment(rel, step):
-    '''Apply an augmentation step to the transitive relation rel, an edge
-    step's pairs in turn; the closed result must be a lattice relation.'''
+def augment(m, step):
+    '''The closed order of a step applied to the transitive order m, an edge
+    step's pairs in turn; the result must be a lattice relation.'''
     if isinstance(step, EdgeStep):
         pairs, node = sorted(step.pairs), False
     elif isinstance(step, NodeStep):
         pairs, node = [(step.below, step.above)], True
     else:
         raise TypeError(f'not an augmentation step: {step!r}')
-    if not all(0 <= x < rel.n for pair in pairs for x in pair):
+    if not all(0 <= x < len(m) for pair in pairs for x in pair):
         raise AugmentationError(f'step endpoints out of range: {step}')
-    m = rel.matrix
     for a, b in pairs:
         m = _step_closures(m, [a], [b], node)[0]
-    if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
+    if _has_cycle(m):
         raise AugmentationError(f'{step} creates a cycle')
-    closed = OrderRelation(m, check=False)
-    if not is_lattice_relation(closed):
+    if not is_lattice_relation(m):
         raise AugmentationError(f'{step} does not yield a lattice relation')
-    return closed
+    return m
 
 
 def _step_closures(m, a, b, node=False):
@@ -159,15 +121,14 @@ def _accepted_steps(m, node=False):
         yield from zip(map(tuple, chunk[ok].tolist()), closures[ok])
 
 
-def canonical_key(rel):
+def canonical_key(m):
     '''A relabelling-invariant encoding of the order.
 
     Elements get structural colors (down-set size, up-set size, cover
     degrees) refined by repeated neighbor-profile hashing-free interning;
     the key is the minimum order-matrix byte string over all permutations
     that respect the final color classes.'''
-    m = rel.matrix
-    n = rel.n
+    n = len(m)
     covers = _covers(m)
     degrees = np.stack([m.sum(0), m.sum(1), covers.sum(0), covers.sum(1)], axis=1)
     colors = _intern(list(map(tuple, degrees.tolist())))
@@ -208,26 +169,25 @@ def generate_all_lattices(n_max):
         raise BudgetExceededError(f'generation capped at {GENERATION_CAP} elements')
     if n_max < 1:
         raise OutOfRangeError(f'n_max must be positive, got {n_max}')
-    by_size = {k: [relation_of(chain(k))] for k in range(1, min(n_max, 2) + 1)}
+    by_size = {k: [chain(k).leq] for k in range(1, min(n_max, 2) + 1)}
 
     def closures(smaller, queue):
-        for rel in smaller:
-            yield from _accepted_steps(rel.matrix, node=True)
+        for m in smaller:
+            yield from _accepted_steps(m, node=True)
         while queue:
-            yield from _accepted_steps(queue.pop().matrix)
+            yield from _accepted_steps(queue.pop())
     for size in range(3, n_max + 1):
         found, queue = {}, []
         for _, m in closures(by_size[size - 1], queue):
-            grown = OrderRelation(m, check=False)
-            key = canonical_key(grown)
+            key = canonical_key(m)
             if key not in found:
-                found[key] = grown
-                queue.append(grown)
+                found[key] = m
+                queue.append(m)
         by_size[size] = [found[key] for key in sorted(found)]
     return {
-        size: [to_lattice(rel, label=f'gen:{size}:{i}')
-               for i, rel in enumerate(rels)]
-        for size, rels in by_size.items()
+        size: [Lattice(m, label=f'gen:{size}:{i}', check=False)    # tested when accepted
+               for i, m in enumerate(orders)]
+        for size, orders in by_size.items()
     }
 
 
@@ -244,30 +204,35 @@ def random_lattice(n, seed=None):
     rng = random.Random(seed)
     if n == 1:
         return chain(1)
-    rel = relation_of(chain(2))
-    while rel.n < n:
-        rel = _random_step(rel, rng)
+    m = chain(2).leq
+    while len(m) < n:
+        m = _random_step(m, rng)
     while rng.random() < 0.5:
-        pairs = free_pairs(rel)
-        if not pairs:
+        steps = list(_accepted_steps(m))
+        if not steps:
             break
-        rel = augment(rel, EdgeStep([rng.choice(pairs)]))
-    return to_lattice(rel, label=f'random:{n}')
+        m = rng.choice(steps)[1]
+    # Every step was tested.  The copy lets go of the stack of closures m came from.
+    return Lattice(m.copy(), label=f'random:{n}', check=False)
 
 
-def _random_step(rel, rng):
-    m = rel.matrix
-    candidates = ([('node', p) for p in np.argwhere(~np.eye(rel.n, dtype=bool)).tolist()]
+def _random_step(m, rng):
+    '''The closure of one random step on m, tested once per draw: a node draw
+    (a, b) with b <= a is a cycle, anything else a closure and a lattice test.
+    After RANDOM_DRAW_CAP draws per element, pick among the accepted steps.'''
+    n = len(m)
+    candidates = ([('node', p) for p in np.argwhere(~np.eye(n, dtype=bool)).tolist()]
                   + [('edge', p) for p in np.argwhere(~(m | m.T)).tolist()])
-    for _ in range(RANDOM_DRAW_CAP * rel.n):
+    for _ in range(RANDOM_DRAW_CAP * n):
         kind, (a, b) = rng.choice(candidates)
-        step = NodeStep(a, b) if kind == 'node' else EdgeStep([(a, b)])
-        try:
-            return augment(rel, step)
-        except AugmentationError:
+        node = kind == 'node'
+        if node and m[b, a]:
             continue
-    steps = node_steps(rel) + [EdgeStep([p]) for p in free_pairs(rel)]
-    return augment(rel, rng.choice(steps))
+        closed = _step_closures(m, [a], [b], node)
+        if _is_lattice_stack(closed)[0]:
+            return closed[0]
+    steps = list(_accepted_steps(m, node=True)) + list(_accepted_steps(m))
+    return rng.choice(steps)[1]
 
 
 def random_distributive_lattice(n, seed=None, strict=False, attempts=200):
@@ -351,7 +316,7 @@ class ConjectureReport:
 CONJECTURE_CAP = 10
 
 
-def conjecture_search(n_max=6, seed=None, budget=10 ** 8):
+def conjecture_search(n_max=6, budget=10 ** 8):
     '''Hunt for a distributive lattice whose distributive edge augmentation
     does NOT strictly increase the number of join-endomorphisms.
 
@@ -360,23 +325,19 @@ def conjecture_search(n_max=6, seed=None, budget=10 ** 8):
     comes back), and any containment pair can be relabelled so both sides
     are upper triangular.  So the search enumerates all upper-triangular
     lattice relations per size, keeps the distributive ones, and compares
-    endomorphism counts across every strict-containment pair.  Exhaustive,
-    so `seed` is accepted for interface parity but unused.  Returns the
+    endomorphism counts across every strict-containment pair.  Returns the
     lexicographically first offending (before, after, added pairs, count
     before, count after), or an exhaustion report.'''
-    del seed
     if n_max > CONJECTURE_CAP:
         raise BudgetExceededError(f'conjecture search capped at {CONJECTURE_CAP}')
     checked = 0
     for size in range(2, n_max + 1):
-        dist = []
-        for pred in _ut_lattice_preds(size):
-            lat = Lattice(_pred_to_leq(pred, size), check=False)
-            if lat.is_distributive():
-                dist.append((pred, lat))
-        counts = {pred: count_join_endomorphisms(lat, budget) for pred, lat in dist}
-        for p1, before_lat in dist:
-            for p2, after_lat in dist:
+        lats = ((pred, Lattice(_pred_to_leq(pred, size), check=False))
+                for pred in _ut_lattice_preds(size))
+        counts = {pred: count_join_endomorphisms(lat, budget)
+                  for pred, lat in lats if lat.is_distributive()}
+        for p1 in counts:
+            for p2 in counts:
                 if p1 == p2 or any(a & ~b for a, b in zip(p1, p2)):
                     continue
                 checked += 1
@@ -386,11 +347,11 @@ def conjecture_search(n_max=6, seed=None, budget=10 ** 8):
                         for j in range(size)
                         for i in range(j)
                         if p2[j] >> i & 1 and not p1[j] >> i & 1)
-                    before_lat.label = f'conjecture:{size}:before'
-                    after_lat.label = f'conjecture:{size}:after'
+                    before, after = (Lattice(_pred_to_leq(p, size), check=False,
+                                             label=f'conjecture:{size}:{side}')
+                                     for p, side in ((p1, 'before'), (p2, 'after')))
                     return ConjectureReport(
-                        n_max, checked,
-                        (before_lat, after_lat, added, counts[p1], counts[p2]))
+                        n_max, checked, (before, after, added, counts[p1], counts[p2]))
     return ConjectureReport(n_max, checked, None)
 
 

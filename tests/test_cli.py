@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import M3_F, M3_G, N5_COVERS
@@ -160,6 +162,23 @@ def test_latgen_all_writes_cover_files(capsys, tmp_path):
         with open(out_dir / name) as fh:
             lat = read_cover_file(fh)
         assert lat.n == int(name.split('_')[1])
+
+
+# sha256 of the `sha256sum`-style manifest (file digest, two spaces, name,
+# by name) of the 79 files of `latgen all --max-n 7`: counts.csv and the
+# numbered representative of every class, recorded with the code that wrapped
+# each order in a relation object.
+LATGEN_ALL_7_MANIFEST = 'bf60439071c458190a4e2456cd546ab12ec0292bc45fed00c8b01aeeaddb141b'
+
+
+def test_latgen_all_files_are_pinned(capsys, tmp_path):
+    rc, _, _ = run(capsys, 'latgen', 'all', '--max-n', '7', '--out', str(tmp_path))
+    assert rc == 0
+    files = sorted(tmp_path.iterdir())
+    manifest = ''.join(f'{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n'
+                       for p in files)
+    assert len(files) == 79
+    assert hashlib.sha256(manifest.encode()).hexdigest() == LATGEN_ALL_7_MANIFEST
 
 
 def test_latgen_all_stdout(capsys):

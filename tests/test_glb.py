@@ -119,6 +119,16 @@ def test_pair_budget_guard():
         gmeet_plus(lat, fs, max_pairs=3)
 
 
+def test_gmeet_pair_guard_counts_the_pairs_it_scans():
+    '''chain(4) has 6 pairs u < v, the pairs gmeet scans, so 6 runs and 5 is
+    refused with gmeet+'s message.'''
+    lat = chain(4)
+    fs = [random_join_endomorphism(lat, seed=k) for k in range(2)]
+    assert gmeet(lat, fs, max_pairs=6).endofunction == gmeet(lat, fs).endofunction
+    with pytest.raises(BudgetExceededError, match=r'^gmeet: 6 pairs exceed max_pairs=5$'):
+        gmeet(lat, fs, max_pairs=5)
+
+
 def test_gmeet_plus_refuses_all_pairs_before_building_them():
     lat = powerset(10)
     fs = [random_join_endomorphism(lat, seed=k) for k in range(2)]

@@ -13,12 +13,11 @@ from latmeet import latgen, lattice
 from latmeet.errors import (AntisymmetryError, AugmentationError,
                             BudgetExceededError, NotALatticeError,
                             SizeUnreachableError)
-from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep,
-                            OrderRelation, augment, canonical_key,
-                            conjecture_search, free_pairs,
+from latmeet.latgen import (ConjectureReport, EdgeStep, NodeStep, augment,
+                            canonical_key, conjecture_search, free_pairs,
                             generate_all_lattices, is_lattice_relation,
                             node_steps, random_distributive_lattice,
-                            random_lattice, relation_of, to_lattice)
+                            random_lattice)
 from latmeet.lattice import (TABLE_LIMIT, Lattice, _transitive_closure_matrix, chain,
                              from_cover_relation, from_leq, m_n, powerset)
 
@@ -26,37 +25,38 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 
 
 def transitive_closure(rel):
-    'Close under composition; a 2-cycle in the closure is an error.'
-    m = _transitive_closure_matrix(rel.matrix)
+    'Close the bool matrix rel under composition; a 2-cycle in the closure is an error.'
+    m = _transitive_closure_matrix(rel)
     if (m & m.T & ~np.eye(len(m), dtype=bool)).any():
         raise AntisymmetryError('transitive closure creates a cycle')
-    return OrderRelation(m, check=False)
+    return m
 
 
 def test_transitive_closure_and_cycle_detection():
     m = np.eye(3, dtype=bool)
     m[0, 1] = m[1, 2] = True
-    closed = transitive_closure(OrderRelation(m))
-    assert closed.matrix[0, 2]
+    closed = transitive_closure(m)
+    assert closed[0, 2]
     cyc = np.eye(2, dtype=bool)
     cyc[0, 1] = cyc[1, 0] = True
     with pytest.raises(AntisymmetryError):
-        transitive_closure(OrderRelation(cyc, check=False))
+        transitive_closure(cyc)
 
 
 def test_is_lattice_relation():
-    assert is_lattice_relation(relation_of(chain(4)))
-    assert is_lattice_relation(relation_of(m_n(3)))
+    assert is_lattice_relation(chain(4).leq)
+    assert is_lattice_relation(m_n(3).leq)
     two_tops = np.eye(3, dtype=bool)
     two_tops[0, 1] = two_tops[0, 2] = True
-    assert not is_lattice_relation(OrderRelation(two_tops))
-    assert not is_lattice_relation(OrderRelation(np.zeros((0, 0), dtype=bool)))
+    assert not is_lattice_relation(two_tops)
+    assert not is_lattice_relation(np.zeros((0, 0), dtype=bool))
+    assert not is_lattice_relation(np.ones((2, 3), dtype=bool))
 
 
 def test_free_pairs_definition_is_self_consistent():
     for size, lats in generate_all_lattices(6).items():
         for lat in lats:
-            rel = relation_of(lat)
+            rel = lat.leq
             free = set(free_pairs(rel))
             incomparable = {(a, b)
                             for a in range(size) for b in range(size)
@@ -66,7 +66,7 @@ def test_free_pairs_definition_is_self_consistent():
             for pair in incomparable:
                 grew = True
                 try:
-                    grown = to_lattice(augment(rel, EdgeStep([pair])))
+                    grown = from_leq(augment(rel, EdgeStep([pair])))
                     assert grown.n == size
                 except AugmentationError:
                     grew = False
@@ -78,12 +78,12 @@ def free_pairs_bowtie(rel):
     pair x strictly below b and y strictly above a such that x is strictly
     below y but x is not below a and b is not below y.  Unproven; compare
     against free_pairs.'''
-    m = rel.matrix
-    lt = m & ~np.eye(rel.n, dtype=bool)
+    n = len(rel)
+    lt = rel & ~np.eye(n, dtype=bool)
     out = []
-    for a in range(rel.n):
-        for b in range(rel.n):
-            if a == b or rel.le(a, b) or rel.le(b, a):
+    for a in range(n):
+        for b in range(n):
+            if a == b or rel[a, b] or rel[b, a]:
                 continue
             xs = lt[:, b] & ~lt[:, a]
             ys = lt[a, :] & ~lt[b, :]
@@ -95,7 +95,7 @@ def free_pairs_bowtie(rel):
 def test_bowtie_criterion_agrees_up_to_six():
     for size, lats in generate_all_lattices(6).items():
         for lat in lats:
-            rel = relation_of(lat)
+            rel = lat.leq
             assert set(free_pairs(rel)) == set(free_pairs_bowtie(rel)), \
                 lat.label
 
@@ -105,7 +105,7 @@ def test_bowtie_criterion_over_accepts_at_seven():
     is not a lattice, first at size 7, on exactly two classes.'''
     offenders = []
     for lat in generate_all_lattices(7)[7]:
-        rel = relation_of(lat)
+        rel = lat.leq
         definitional = set(free_pairs(rel))
         pattern = set(free_pairs_bowtie(rel))
         assert definitional <= pattern, lat.label
@@ -118,11 +118,11 @@ def test_bowtie_criterion_over_accepts_at_seven():
 
 
 def test_augment_edge_node_mixed():
-    rel = relation_of(chain(3))
+    rel = chain(3).leq
     bigger = augment(rel, NodeStep(below=0, above=2))
-    lat = to_lattice(bigger)
+    lat = from_leq(bigger)
     assert lat.n == 4
-    diamond = relation_of(powerset(2))
+    diamond = powerset(2).leq
     with pytest.raises(AugmentationError):
         augment(diamond, NodeStep(below=3, above=0))
     for step in (EdgeStep([(0, 4)]), EdgeStep([(-1, 1)]), NodeStep(0, 4)):
@@ -131,42 +131,41 @@ def test_augment_edge_node_mixed():
 
 
 def test_augment_refuses_a_non_transitive_relation():
-    '''augment needs a transitive rel.  The 4-chain without 0 <= 3 is refused
+    '''augment needs a transitive order.  The 4-chain without 0 <= 3 is refused
     by steps that do not add 0 <= 3; a step that does, such as 1 <= 2 (which
     brings down(1) x up(2)), closes it, and augment returns the closure.'''
     m = np.eye(4, dtype=bool)
     for a, b in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]:
         m[a, b] = True
-    rel = OrderRelation(m)
     for step in (EdgeStep([]), EdgeStep([(0, 0)]), EdgeStep([(3, 3)])):
         with pytest.raises(AugmentationError, match='does not yield a lattice'):
-            augment(rel, step)
-    assert augment(rel, EdgeStep([(1, 2)])).matrix.tolist() == chain(4).leq.tolist()
+            augment(m, step)
+    assert augment(m, EdgeStep([(1, 2)])).tolist() == chain(4).leq.tolist()
     for a in range(4):
         for b in range(4):
-            for step, matrix in ((EdgeStep([(a, b)]), _edge_matrix(rel, [(a, b)])),
-                                 (NodeStep(a, b), _node_matrix(rel, a, b))):
-                got = _augment_or_none(rel, step)
+            for step, matrix in ((EdgeStep([(a, b)]), _edge_matrix(m, [(a, b)])),
+                                 (NodeStep(a, b), _node_matrix(m, a, b))):
+                got = _augment_or_none(m, step)
                 assert got is None or got == _reference_closure(matrix), step
 
 
 def test_node_steps_grow_by_one():
-    rel = relation_of(powerset(2))
+    rel = powerset(2).leq
     steps = node_steps(rel)
     assert steps
     for step in steps:
-        grown = to_lattice(augment(rel, step))
+        grown = from_leq(augment(rel, step))
         assert grown.n == 5
 
 
 def test_canonical_key_is_isomorphism_invariant():
     lat = m_n(3)
-    rel = relation_of(lat)
+    rel = lat.leq
     base = canonical_key(rel)
     rng = np.random.default_rng(7)
     for _ in range(10):
         perm = rng.permutation(lat.n)
-        shuffled = OrderRelation(rel.matrix[np.ix_(perm, perm)], check=False)
+        shuffled = rel[np.ix_(perm, perm)]
         assert canonical_key(shuffled) == base
 
 
@@ -174,15 +173,14 @@ def test_canonical_key_is_isomorphism_invariant():
 @given(st.integers(min_value=0, max_value=10 ** 6), st.data())
 def test_canonical_key_invariance_property(seed, data):
     lat = random_lattice(6, seed=seed)
-    rel = relation_of(lat)
+    rel = lat.leq
     perm = data.draw(st.permutations(range(lat.n)))
-    shuffled = OrderRelation(
-        rel.matrix[np.ix_(list(perm), list(perm))], check=False)
+    shuffled = rel[np.ix_(list(perm), list(perm))]
     assert canonical_key(shuffled) == canonical_key(rel)
 
 
 def test_canonical_key_separates_corpus():
-    keys = {canonical_key(relation_of(lat))
+    keys = {canonical_key(lat.leq)
             for lat in (chain(5), m_n(3), powerset(2), m_n(2))}
     assert len(keys) == 3  # powerset(2) and m_n(2) are the same lattice
 
@@ -416,15 +414,37 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _lattice_digest(lat):
+    return (_sha(np.ascontiguousarray(lat.leq, bool).tobytes()),
+            _sha(np.ascontiguousarray(lat.join_table, np.int32).tobytes()),
+            _sha(np.ascontiguousarray(lat.meet_table, np.int32).tobytes()),
+            _sha(lat.label.encode()))
+
+
 @pytest.mark.parametrize('n', [8, 16, 20, 24, 32, 48])
 def test_random_lattice_goldens(n):
     for seed in range(6):
-        lat = random_lattice(n, seed=seed)
-        got = (_sha(np.ascontiguousarray(lat.leq, bool).tobytes()),
-               _sha(np.ascontiguousarray(lat.join_table, np.int32).tobytes()),
-               _sha(np.ascontiguousarray(lat.meet_table, np.int32).tobytes()),
-               _sha(lat.label.encode()))
-        assert got == RANDOM_LATTICE_DIGESTS[n, seed], (n, seed)
+        assert _lattice_digest(random_lattice(n, seed=seed)) == \
+            RANDOM_LATTICE_DIGESTS[n, seed], (n, seed)
+
+
+# The same digests with RANDOM_DRAW_CAP = 0, so every step below the target
+# size picks among all accepted node and edge steps; recorded with the code
+# that applied each step through augment.
+FALLBACK_DIGESTS = {
+    (8, 0): ('3283b4014da45e3e', '532631435ca061d0', '125b71bb64fb1b17', 'b419a14dd3a2cbf2'),
+    (8, 1): ('7e506f32778b98b6', '90f0d1ab796d8831', 'a612760678c03b50', 'b419a14dd3a2cbf2'),
+    (8, 2): ('c7de86612e15e337', '9deecf229b6c64f4', 'de846b2892c53318', 'b419a14dd3a2cbf2'),
+    (16, 0): ('451af54d022af005', '156c85cd2d5958aa', '011bebe6ac8204c7', 'ee9d03d1110fb5c7'),
+    (16, 1): ('21ee45f7d1bcae45', 'd413cafa508fe7d0', '7110dbaeaeccfa54', 'ee9d03d1110fb5c7'),
+    (16, 2): ('717ed2af34439995', '44c599897a0e5816', '068f7693647d79f9', 'ee9d03d1110fb5c7'),
+}
+
+
+@pytest.mark.parametrize('n, seed', sorted(FALLBACK_DIGESTS))
+def test_random_lattice_fallback_goldens(monkeypatch, n, seed):
+    monkeypatch.setattr(latgen, 'RANDOM_DRAW_CAP', 0)
+    assert _lattice_digest(random_lattice(n, seed=seed)) == FALLBACK_DIGESTS[n, seed]
 
 
 def scalar_tables_from_leq(leq):
@@ -467,7 +487,7 @@ def _reference_closure(matrix):
     '''The closure of matrix by repeated squaring, as nested lists, or None
     if it has a cycle or the scalar check finds no lattice relation.'''
     try:
-        closed = transitive_closure(OrderRelation(matrix, check=False)).matrix
+        closed = transitive_closure(matrix)
     except AntisymmetryError:
         return None
     return closed.tolist() if scalar_is_lattice_relation(closed) else None
@@ -475,13 +495,13 @@ def _reference_closure(matrix):
 
 def _augment_or_none(rel, step):
     try:
-        return augment(rel, step).matrix.tolist()
+        return augment(rel, step).tolist()
     except AugmentationError:
         return None
 
 
 def _edge_matrix(rel, pairs):
-    m = rel.matrix.copy()
+    m = rel.copy()
     for a, b in pairs:
         m[a, b] = True
     return m
@@ -489,23 +509,23 @@ def _edge_matrix(rel, pairs):
 
 def _node_matrix(rel, a, b):
     'A new last element x with a <= x <= b, unclosed.'
-    n = rel.n
+    n = len(rel)
     m = np.eye(n + 1, dtype=bool)
-    m[:n, :n] = rel.matrix
+    m[:n, :n] = rel
     m[a, n] = m[n, b] = True
     return m
 
 
 def definitional_free_pairs(rel):
     'Add each pair, close it by repeated squaring, and run the scalar check.'
-    return [(a, b) for a in range(rel.n) for b in range(rel.n)
-            if a != b and not rel.le(a, b)
+    return [(a, b) for a in range(len(rel)) for b in range(len(rel))
+            if a != b and not rel[a, b]
             and _reference_closure(_edge_matrix(rel, [(a, b)])) is not None]
 
 
 def definitional_node_steps(rel):
     'Wedge a new element between each pair, close it, and run the scalar check.'
-    return [NodeStep(a, b) for a in range(rel.n) for b in range(rel.n)
+    return [NodeStep(a, b) for a in range(len(rel)) for b in range(len(rel))
             if a != b and _reference_closure(_node_matrix(rel, a, b)) is not None]
 
 
@@ -518,7 +538,7 @@ def test_free_pairs_and_node_steps_match_the_definition_up_to_seven():
     two_pair_outcomes = set()
     for size, lats in generate_all_lattices(7).items():
         for lat in lats:
-            rel = relation_of(lat)
+            rel = lat.leq
             assert free_pairs(rel) == definitional_free_pairs(rel), lat.label
             assert node_steps(rel) == definitional_node_steps(rel), lat.label
             for a in range(size):
@@ -527,7 +547,7 @@ def test_free_pairs_and_node_steps_match_the_definition_up_to_seven():
                                          (NodeStep(a, b), _node_matrix(rel, a, b))):
                         assert _augment_or_none(rel, step) == _reference_closure(matrix), \
                             (lat.label, step)
-            incomparable = np.argwhere(~(rel.matrix | rel.matrix.T)).tolist()
+            incomparable = np.argwhere(~(rel | rel.T)).tolist()
             if len(incomparable) >= 2:
                 pairs = [tuple(incomparable[0]), tuple(incomparable[-1])]
                 want = _reference_closure(_edge_matrix(rel, pairs))
@@ -538,7 +558,7 @@ def test_free_pairs_and_node_steps_match_the_definition_up_to_seven():
 
 @pytest.mark.parametrize('n, seed', [(16, 0), (16, 3), (20, 1), (24, 2), (32, 4)])
 def test_free_pairs_match_the_definition_on_random_lattices(n, seed):
-    rel = relation_of(random_lattice(n, seed=seed))
+    rel = random_lattice(n, seed=seed).leq
     assert free_pairs(rel) == definitional_free_pairs(rel)
 
 
@@ -554,7 +574,7 @@ def closed_relations(draw, n=None):
     if draw(st.booleans()):
         m[0, :] = m[:, n - 1] = True
     perm = np.array(draw(st.permutations(range(n))))
-    return transitive_closure(OrderRelation(m[np.ix_(perm, perm)])).matrix
+    return transitive_closure(m[np.ix_(perm, perm)])
 
 
 def _tables_or_error(derive, leq):
@@ -574,7 +594,44 @@ def test_tables_match_the_scalar_loop(leq, budget):
         mp.setattr(lattice, 'CHUNK_BYTES', budget)
         assert (_tables_or_error(lattice._tables_from_leq, leq)
                 == _tables_or_error(scalar_tables_from_leq, leq))
-        assert is_lattice_relation(OrderRelation(leq)) == scalar_is_lattice_relation(leq)
+        assert is_lattice_relation(leq) == scalar_is_lattice_relation(leq)
+
+
+def definitional_is_lattice_relation(m):
+    '''Reflexive, antisymmetric and transitive, with a least common upper
+    bound and a greatest common lower bound for every pair, by the definition.'''
+    pts = range(len(m))
+    if (len(m) == 0 or not all(m[i][i] for i in pts)
+            or any(m[i][j] and m[j][i] for i in pts for j in pts if i != j)
+            or any(m[i][j] and m[j][k] and not m[i][k] for i in pts for j in pts for k in pts)):
+        return False
+
+    def has_least(bounds, le):
+        return any(all(le(c, d) for d in bounds) for c in bounds)
+    return all(has_least([c for c in pts if m[i][c] and m[j][c]], lambda x, y: m[x][y])
+               and has_least([c for c in pts if m[c][i] and m[c][j]], lambda x, y: m[y][x])
+               for i in pts for j in pts)
+
+
+def test_is_lattice_relation_matches_the_definition_on_four_points():
+    '''All 4096 reflexive relations on 4 points, non-antisymmetric and
+    non-transitive ones included; 36 are labelled lattices (24 chains and
+    12 diamonds).'''
+    off = np.argwhere(~np.eye(4, dtype=bool))
+    kinds = {'lattice': 0, 'cyclic': 0, 'not transitive': 0}
+    for bits in range(1 << len(off)):
+        m = np.eye(4, dtype=bool)
+        m[tuple(off[[k for k in range(len(off)) if bits >> k & 1]].T)] = True
+        want = definitional_is_lattice_relation(m.tolist())
+        assert is_lattice_relation(m) == want, m.astype(int).tolist()
+        if want:
+            kinds['lattice'] += 1
+        elif (m & m.T).sum() > 4:
+            kinds['cyclic'] += 1
+        elif (_transitive_closure_matrix(m) != m).any():
+            kinds['not transitive'] += 1
+    assert kinds['lattice'] == 36
+    assert kinds['cyclic'] and kinds['not transitive']
 
 
 @settings(max_examples=50, deadline=None)
@@ -602,4 +659,4 @@ def test_is_lattice_relation_lets_internal_errors_through(monkeypatch):
 
     monkeypatch.setattr(latgen, '_is_lattice_stack', broken)
     with pytest.raises(TypeError):
-        is_lattice_relation(relation_of(chain(3)))
+        is_lattice_relation(chain(3).leq)

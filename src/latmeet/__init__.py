@@ -6,10 +6,10 @@ from .endo import (Endofunction, count_join_endomorphisms,
                    is_join_endomorphism, parse_endofunction, pointwise_join,
                    pointwise_leq, pointwise_meet_many,
                    random_join_endomorphism)
-from .errors import (AntisymmetryError, AugmentationError, BudgetExceededError,
-                     EmptySetError, LatmeetError, NotALatticeError,
-                     NotDistributiveError, NotModularError, OutOfRangeError,
-                     RetryExhaustedError, SizeUnreachableError, StructureError)
+from .errors import (AugmentationError, BudgetExceededError, EmptySetError,
+                     LatmeetError, NotALatticeError, NotDistributiveError,
+                     NotModularError, OutOfRangeError, RetryExhaustedError,
+                     SizeUnreachableError)
 from .glb import (MeetResult, a1_naive, brute_force_meet, dmeet, dmeet_plus,
                   gmeet, gmeet_plus, gmeet_plus_modular, meet_algorithms,
                   verify_01_relations_preserving)
@@ -20,11 +20,11 @@ from .lattice import (Lattice, LatticeBase, OpCountingLattice, PowersetLattice,
 __version__ = '0.1.0'
 
 __all__ = [
-    'AntisymmetryError', 'AugmentationError', 'BudgetExceededError',
-    'EmptySetError', 'Endofunction', 'Lattice', 'LatticeBase', 'LatmeetError',
-    'MeetResult', 'NotALatticeError', 'NotDistributiveError', 'NotModularError',
+    'AugmentationError', 'BudgetExceededError', 'EmptySetError',
+    'Endofunction', 'Lattice', 'LatticeBase', 'LatmeetError', 'MeetResult',
+    'NotALatticeError', 'NotDistributiveError', 'NotModularError',
     'OpCountingLattice', 'OutOfRangeError', 'PowersetLattice',
-    'RetryExhaustedError', 'SizeUnreachableError', 'StructureError', 'a1_naive',
+    'RetryExhaustedError', 'SizeUnreachableError', 'a1_naive',
     'brute_force_meet', 'build', 'chain', 'count_join_endomorphisms', 'dmeet',
     'dmeet_plus', 'enumerate_join_endomorphisms', 'format_endofunction',
     'from_cover_relation', 'from_leq', 'gmeet', 'gmeet_plus',

@@ -8,7 +8,7 @@ enumeration and seeded random sampling, plus the one-line text format.
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -23,10 +23,8 @@ BATCH_ENTRIES = 1 << 16
 
 
 class Endofunction:
-    '''Immutable self-map of a lattice; equality and hashing use the value
-    tuple, and `array` is a read-only int64 copy for vector operations.'''
-
-    __slots__ = ('lattice', 'values', 'array')
+    '''Immutable self-map of a lattice as a read-only int64 `array`; the
+    `values` tuple, built on first use, defines equality and hashing.'''
 
     def __init__(self, lattice, values):
         arr = (np.array(values, np.int64) if isinstance(values, np.ndarray)
@@ -38,14 +36,17 @@ class Endofunction:
             raise ValueError(f'value {v} out of range for {lattice.label}')
         arr.flags.writeable = False
         self.lattice = lattice
-        self.values = tuple(arr.tolist())
         self.array = arr
 
+    @cached_property
+    def values(self):
+        return tuple(self.array.tolist())
+
     def __call__(self, a):
-        return self.values[a]
+        return int(self.array[a])
 
     def __eq__(self, other):
-        return isinstance(other, Endofunction) and self.values == other.values
+        return isinstance(other, Endofunction) and np.array_equal(self.array, other.array)
 
     def __hash__(self):
         return hash(self.values)

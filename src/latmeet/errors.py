@@ -33,16 +33,8 @@ class EmptySetError(LatmeetError, ValueError):
     'An operation that needs a nonempty family received an empty one.'
 
 
-class StructureError(LatmeetError):
-    'Lattice structure violates an assumption of the algorithm.'
-
-
 class OutOfRangeError(LatmeetError, ValueError):
     'Numeric argument outside the defined domain.'
-
-
-class AntisymmetryError(LatmeetError):
-    'Transitive closure produced a cycle, breaking antisymmetry.'
 
 
 class AugmentationError(LatmeetError):

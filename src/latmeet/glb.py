@@ -13,16 +13,22 @@ meet.  Seven routes compute it:
   gmeet_plus_modular gmeet_plus over cover pairs only
 
 a1/dmeet/dmeet_plus require a distributive lattice; gmeet_plus_modular is
-sound on modular lattices.  ROUTES
-is the one table of routes and the domain each requires; check_precondition
-raises the typed error for a lattice outside it.  Every algorithm reports
-how many binary lattice operations it performed and, for the iterative
-ones, how many times sigma strictly decreased at an element.
+sound on modular lattices.  ROUTES is the one table of routes and the
+domain each requires; check_precondition raises the typed error for a
+lattice outside it.  Every algorithm reports how many binary lattice
+operations it performed and, for the iterative ones, how many times sigma
+strictly decreased at an element.  a1, dmeet and gmeet run as numpy kernels
+over blocks of elements and charge in bulk exactly what their element loops
+performed: n^3 + Q joins and Q meets per a1 fold, Q the number of (c, a, b)
+with c <= a join b; one subtraction, join and meet per a <= c per dmeet
+fold; 2 joins per pair a gmeet scan reads, up to the first violation.  Each
+gmeet scan still restarts at the first pair, which is the paper's cost.
 '''
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
@@ -33,6 +39,7 @@ from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
                    pointwise_leq, pointwise_meet_many)
 from .errors import (BudgetExceededError, EmptySetError, NotDistributiveError,
                      NotModularError)
+from .lattice import CHUNK_BYTES, PowersetLattice
 
 ALL_PAIRS = 'all'
 COVER_PAIRS = 'covers'
@@ -53,12 +60,15 @@ class MeetResult:
         return sum(self.op_counts.values())
 
 
-def _prep(lattice, fs, algorithm):
+def _prep(lattice, fs, algorithm, pairs=None, max_pairs=MAX_PAIRS):
+    'The counting view, after checking S and (given `pairs`) the pair budget.'
     if not fs:
         raise EmptySetError(f'{algorithm}: the family S must be nonempty')
     for f in fs:
-        if len(f.values) != lattice.n:
+        if len(f.array) != lattice.n:
             raise ValueError(f'{algorithm}: endofunction does not match {lattice.label}')
+    if pairs is not None and (count := _pair_count(lattice, pairs)) > max_pairs:
+        raise BudgetExceededError(f'{algorithm}: {count} pairs exceed max_pairs={max_pairs}')
     return lattice.instrumented_view()
 
 
@@ -75,49 +85,77 @@ def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
 
 
 def a1_naive(lattice, fs):
-    'h(c) = meet of f(a) join g(b) over every pair with a join b >= c.'
+    '''h(c) = meet of f(a) join g(b) over every pair with a join b >= c.  Each
+    fold tabulates f(a) join g(b) and masks it by c <= a join b per block of c.'''
     check_precondition('a1', lattice)
-    view = _prep(lattice, fs, 'a1')
-    out = fs[0]
+    view, n, e = _prep(lattice, fs, 'a1'), lattice.n, np.arange(lattice.n)
+    joins = lattice.join_many(e[:, None], e).ravel()
+    h = fs[0]
     for g in fs[1:]:
-        out = _a1_pair(view, out, g)
-    return MeetResult(out, 'a1', view.counts)
-
-
-def _a1_pair(view, f, g):
-    lat = view.lattice
-    n = lat.n
-    vals = []
-    for c in range(n):
-        acc = lat.top
-        for a in range(n):
-            fa = f.values[a]
-            for b in range(n):
-                if lat.le(c, view.join(a, b)):
-                    acc = view.meet(acc, view.join(fa, g.values[b]))
-        vals.append(acc)
-    return Endofunction(lat, vals)
+        vals = lattice.join_many(h.array[:, None], g.array).ravel()
+        h, q = _meet_blocks(lattice, ((cs, vals, lattice.le_many(cs[:, None], joins))
+                                      for cs in _blocks(e, n * n)))
+        view.counts['join'] += n ** 3 + q
+        view.counts['meet'] += q
+    return MeetResult(h, 'a1', view.counts)
 
 
 def dmeet(lattice, fs):
-    'h(c) = meet of f(a) join g(c - a) over a <= c, using co-Heyting subtraction.'
+    '''h(c) = meet of f(a) join g(c - a) over a <= c, using co-Heyting
+    subtraction; each fold runs over the blocks of _down_blocks.'''
     check_precondition('dmeet', lattice)
-    view = _prep(lattice, fs, 'dmeet')
-    out = fs[0]
+    view, h = _prep(lattice, fs, 'dmeet'), fs[0]
     for g in fs[1:]:
-        out = _dmeet_pair(view, out, g)
-    return MeetResult(out, 'dmeet', view.counts)
+        f = h.array
+        h, q = _meet_blocks(lattice, (
+            (cs, lattice.join_many(f[a], g.array[lattice.subtraction_many(cs[:, None], a)]), keep)
+            for cs, a, keep in _down_blocks(lattice)))
+        for op in view.counts:
+            view.counts[op] += q
+    return MeetResult(h, 'dmeet', view.counts)
 
 
-def _dmeet_pair(view, f, g):
-    lat = view.lattice
-    vals = []
-    for c in range(lat.n):
-        acc = lat.top
-        for a in lat.down_set(c):
-            acc = view.meet(acc, view.join(f.values[a], g.values[view.subtraction(c, a)]))
-        vals.append(acc)
-    return Endofunction(lat, vals)
+def _down_blocks(lat):
+    '''Blocks (cs, a, keep), row i of a the candidates for cs[i] and keep
+    those below it (None: all are).  A powerset lists just the submasks,
+    grouped by size and built by bit doubling; other lattices mask by leq.'''
+    e = np.arange(lat.n)
+    if not isinstance(lat, PowersetLattice):
+        yield from ((cs, e, lat.leq[:, cs].T) for cs in _blocks(e, lat.n))
+        return
+    size = sum((e >> i & 1 for i in range(lat.m)), np.zeros_like(e))
+    for k in range(lat.m + 1):
+        for cs in _blocks(np.flatnonzero(size == k), 1 << k):
+            a, rest = np.zeros((len(cs), 1), dtype=np.int64), cs
+            for _ in range(k):
+                low = rest & -rest
+                a, rest = np.concatenate([a, a | low[:, None]], axis=1), rest ^ low
+            yield cs, a, None
+
+
+def _blocks(items, width, rows=None):
+    '''Slices of items, each as many rows as fit a (rows, width) int64 block
+    of CHUNK_BYTES >> 4 bytes, or from `rows` rows doubling up to that.'''
+    cap = max(1, (CHUNK_BYTES >> 4) // (8 * width))
+    i, rows = 0, min(rows or cap, cap)
+    while i < len(items):
+        yield items[i:i + rows]
+        i, rows = i + rows, min(2 * rows, cap)
+
+
+def _meet_blocks(lat, blocks):
+    '''(h, entries met), h[cs] the meet along the last axis of vals where keep
+    marks (everywhere if None; top if nowhere), per block (cs, vals, keep).'''
+    out, q = np.empty(lat.n, dtype=np.int64), 0
+    for cs, vals, keep in blocks:
+        q += vals.size if keep is None else int(np.count_nonzero(keep))
+        vals = vals if keep is None else np.where(keep, vals, lat.top)
+        while vals.shape[-1] > 1 and not isinstance(lat, PowersetLattice):
+            h = vals.shape[-1] // 2
+            vals = np.concatenate([lat.meet_many(vals[..., :h], vals[..., h:2 * h]),
+                                   vals[..., 2 * h:]], axis=-1)
+        out[cs] = np.bitwise_and.reduce(vals, axis=-1)     # masks, or one entry left
+    return Endofunction(lat, out), q
 
 
 def dmeet_plus(lattice, fs):
@@ -141,54 +179,53 @@ def dmeet_plus(lattice, fs):
 def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
     '''Decrease sigma = pointwise meet of S until it preserves all joins.
 
-    Each round rescans ordered pairs (u <= v) lexicographically and repairs
+    Each round rescans the pairs u < v row-major from the first and repairs
     the first violation: sigma(u join v) drops to sigma(u) join sigma(v)
     when the latter is strictly below, otherwise sigma(u) and sigma(v) are
     met with sigma(u join v).  `on_update` receives the sigma tuple after
     every update round.
     '''
-    view = _prep(lattice, fs, 'gmeet')
-    n = lattice.n
-    count = _pair_count(lattice, ALL_PAIRS)
-    if count > max_pairs:
-        raise BudgetExceededError(f'gmeet: {count} pairs exceed max_pairs={max_pairs}')
+    view = _prep(lattice, fs, 'gmeet', ALL_PAIRS, max_pairs)
     sigma = _pointwise_meet(view, fs)
     reductions = 0
-    while True:
-        hit = None
-        for u in range(n):
-            su = sigma[u]
-            for v in range(u + 1, n):
-                w = view.join(u, v)
-                j = view.join(su, sigma[v])
-                if j != sigma[w]:
-                    hit = (u, v, w, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while (hit := _first_violation(view, sigma)) is not None:
         u, v, w, j = hit
         if lattice.le(j, sigma[w]):
             sigma[w] = j
             reductions += 1
         else:
             for t in (u, v):
-                m = view.meet(sigma[t], sigma[w])
+                m = view.meet(int(sigma[t]), int(sigma[w]))
                 if m != sigma[t]:
                     sigma[t] = m
                     reductions += 1
         if on_update is not None:
-            on_update(tuple(sigma))
+            on_update(tuple(sigma.tolist()))
     return MeetResult(Endofunction(lattice, sigma), 'gmeet', view.counts, reductions)
 
 
+def _first_violation(view, sigma):
+    '''The row-major first pair u < v with sigma(u) join sigma(v) !=
+    sigma(u join v), as (u, v, u join v, that join), or None.  Hits tend to
+    come early, so row blocks start at one row.  A pair v <= u never fails
+    first: (u, u) holds and (v, u) comes in an earlier row.'''
+    lat, n, v = view.lattice, view.n, np.arange(view.n)
+    for us in _blocks(v, n, rows=1):
+        w = lat.join_many(us[:, None], v)
+        j = lat.join_many(sigma[us, None], sigma)
+        bad = j != sigma[w]
+        if bad.any():
+            r, c = divmod(int(bad.argmax()), n)
+            u = int(us[r])
+            view.counts['join'] += 2 * (u * (n - 1) - u * (u - 1) // 2 + c - u)
+            return u, c, int(w[r, c]), int(j[r, c])
+    view.counts['join'] += n * (n - 1)
+    return None
+
+
 def _pointwise_meet(view, fs):
-    'The starting sigma, S met pointwise as a list; |S| meets per element, from top.'
-    sigma = np.full(view.n, view.top)
-    for f in fs:
-        sigma = view.meet_many(sigma, f.array)
-    return sigma.tolist()
+    'The starting sigma, S met pointwise as an array; |S| meets per element, from top.'
+    return reduce(view.meet_many, (f.array for f in fs), np.full(view.n, view.top))
 
 
 class GMeetState:
@@ -281,11 +318,8 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     ("move").  The pair universe is counted against `max_pairs` before any
     pair list is built.
     '''
-    view = _prep(lattice, fs, _tag)
-    count = _pair_count(lattice, pair_universe)
-    if count > max_pairs:
-        raise BudgetExceededError(f'{_tag}: {count} pairs exceed max_pairs={max_pairs}')
-    sigma = _pointwise_meet(view, fs)
+    view = _prep(lattice, fs, _tag, pair_universe, max_pairs)
+    sigma = _pointwise_meet(view, fs).tolist()
     state = GMeetState(view, sigma, sorted(
         (view.join(u, v), u, v) for u, v in _pair_universe(lattice, pair_universe)))
     reductions = 0
@@ -399,6 +433,6 @@ def _pair_universe(lattice, kind):
 
 def verify_01_relations_preserving(lattice, f):
     'True when f preserves the join of every pair within every cover set.'
-    vals = f.values
-    return all(vals[lattice.join(a, b)] == lattice.join(vals[a], vals[b])
-               for a, b in _pair_universe(lattice, COVER_PAIRS))
+    a, b = np.array(_pair_universe(lattice, COVER_PAIRS), dtype=np.int64).reshape(-1, 2).T
+    return np.array_equal(f.array[lattice.join_many(a, b)],
+                          lattice.join_many(f.array[a], f.array[b]))

@@ -31,14 +31,6 @@ class LatticeBase:
     top: int
     label: str
 
-    def big_join(self, xs):
-        'Join of an iterable, bottom if empty.'
-        return reduce(self.join, xs, self.bottom)
-
-    def big_meet(self, xs):
-        'Meet of an iterable, top if empty.'
-        return reduce(self.meet, xs, self.top)
-
     def cover_set(self, a):
         'Elements covered by a, plus a itself.'
         return self.covers_of(a) + (a,)
@@ -53,6 +45,11 @@ class LatticeBase:
     def le_many(self, a, b):
         'Elementwise a <= b, as a meet b == a.'
         return self.meet_many(a, b) == np.asarray(a)
+
+    def subtraction(self, c, a):
+        '''Least b such that a `join` b >= c (co-Heyting subtraction); raises
+        NotDistributiveError on a non-distributive lattice.'''
+        return int(self.subtraction_many(c, a))
 
     def _jvals(self, jvals, dtype):
         jvals = np.asarray(jvals, dtype=dtype)
@@ -166,10 +163,8 @@ class Lattice(LatticeBase):
     def meet_table(self):
         return self._meet_table
 
-    def subtraction(self, c, a):
-        '''Least b such that a `join` b >= c (co-Heyting subtraction); raises
-        NotDistributiveError on a non-distributive lattice.'''
-        return int(self._subtraction_table[c, a])
+    def subtraction_many(self, c, a):
+        return self._subtraction_table[c, a]
 
     @cached_property
     def _subtraction_table(self):
@@ -208,9 +203,6 @@ class Lattice(LatticeBase):
         counts = self._cover_matrix.sum(axis=0)
         return tuple(int(a) for a in range(self.n)
                      if a != self.bottom and counts[a] == 1)
-
-    def down_set(self, c):
-        return tuple(int(a) for a in np.flatnonzero(self.leq[:, c]))
 
     def up_set(self, a):
         return tuple(int(b) for b in np.flatnonzero(self.leq[a, :]))
@@ -286,8 +278,8 @@ class PowersetLattice(LatticeBase):
     def meet(self, a, b):
         return a & b
 
-    def subtraction(self, c, a):
-        return c & ~a
+    def subtraction_many(self, c, a):
+        return np.asarray(c, np.int64) & ~np.asarray(a, np.int64)
 
     def join_many(self, a, b):
         return np.asarray(a, np.int64) | np.asarray(b, np.int64)
@@ -314,21 +306,8 @@ class PowersetLattice(LatticeBase):
     def join_irreducibles(self):
         return tuple(1 << i for i in range(self.m))
 
-    def down_set(self, c):
-        return tuple(sorted(self._submasks(c)))
-
     def up_set(self, a):
-        free = self.top & ~a
-        return tuple(sorted(a | s for s in PowersetLattice._submasks(free)))
-
-    @staticmethod
-    def _submasks(mask):
-        s = mask
-        while True:
-            yield s
-            if s == 0:
-                return
-            s = (s - 1) & mask
+        return tuple(b for b in range(a, self.n) if a & ~b == 0)
 
     def linear_extension(self):
         return tuple(sorted(range(self.n), key=lambda a: (a.bit_count(), a)))
@@ -371,12 +350,10 @@ class PowersetLattice(LatticeBase):
 class OpCountingLattice:
     '''View of a lattice that counts join/meet/subtraction calls.
 
-    Structural queries (order tests, covers, irreducibles, down-sets) are
-    free, mirroring the cost model where only binary lattice operations are
-    charged.  big_join/big_meet fold through the counted binary operations,
-    seeded with bottom/top, so a k-element family costs k operations.  Array
-    operations are charged in bulk: one per element pair, and for
-    extend_by_joins one join per join-reducible element above bottom.
+    Order tests and structure queries are free: only binary lattice
+    operations are charged, arrays in bulk, one per element pair
+    (extend_by_joins: one join per join-reducible element above bottom).
+    subtraction_many passes through uncounted; its callers charge the pairs.
     '''
 
     def __init__(self, lattice):
@@ -408,10 +385,6 @@ class OpCountingLattice:
     def extend_by_joins(self, jvals):
         self.counts['join'] += self.n - len(self.join_irreducibles) - 1
         return self.lattice.extend_by_joins(jvals)
-
-    # The folds of LatticeBase, run through the counted join and meet.
-    big_join = LatticeBase.big_join
-    big_meet = LatticeBase.big_meet
 
     def __getattr__(self, name):
         return getattr(self.lattice, name)

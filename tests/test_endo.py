@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -134,14 +135,15 @@ def test_random_endomorphism_property(seed):
 
 def scalar_draws(lat, seed, retry_cap):
     '''Reference for random_join_endomorphism: one draw at a time, each
-    extended by big_join over jdown and tested by the definition.  Returns
+    extended by joins over jdown and tested by the definition.  Returns
     (values, accepted); on exhaustion the values are the last draw.'''
     rng = random.Random(seed)
     jirr = lat.join_irreducibles
     vals = None
     for _ in range(max(1, retry_cap)):
         g = {j: rng.randrange(lat.n) for j in jirr}
-        vals = [lat.big_join([g[j] for j in lat.jdown(e)]) for e in range(lat.n)]
+        vals = [reduce(lat.join, [g[j] for j in lat.jdown(e)], lat.bottom)
+                for e in range(lat.n)]
         if is_join_endo_by_definition(lat, vals):
             return tuple(vals), True
     return tuple(vals), False

@@ -8,6 +8,7 @@ with the element-by-element extension that the vector passes replaced.
 from __future__ import annotations
 
 import hashlib
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ def other_lattices():
 
 def extension_by_definition(lat, jvals):
     index = {j: k for k, j in enumerate(lat.join_irreducibles)}
-    return [lat.big_join([jvals[index[j]] for j in lat.jdown(e)]) for e in range(lat.n)]
+    return [reduce(lat.join, [jvals[index[j]] for j in lat.jdown(e)], lat.bottom)
+            for e in range(lat.n)]
 
 
 def draw_jvals(data, lat, rows=None):

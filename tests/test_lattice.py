@@ -95,8 +95,6 @@ def test_join_irreducibles_match_definition(corpus_lattice):
 def test_down_up_sets_and_jdown(corpus_lattice):
     lat = corpus_lattice
     for c in range(lat.n):
-        assert lat.down_set(c) == tuple(
-            a for a in range(lat.n) if lat.le(a, c))
         assert lat.up_set(c) == tuple(
             a for a in range(lat.n) if lat.le(c, a))
         assert lat.jdown(c) == tuple(

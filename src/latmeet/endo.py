@@ -13,7 +13,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import BudgetExceededError, EmptySetError, RetryExhaustedError
-from .lattice import PowersetLattice
 
 ENUM_BUDGET = 10 ** 8
 RETRY_CAP = 10 ** 4
@@ -60,9 +59,9 @@ def is_join_endomorphism(f):
     lat, vals = f.lattice, f.array
     if vals[lat.bottom] != lat.bottom:
         return False
-    if isinstance(lat, PowersetLattice):
-        # On a distributive lattice f is a join-endomorphism iff every value
-        # is the join of the values at the irreducibles below it.
+    if lat.is_distributive():
+        # There join-irreducibles are join-prime, so f is a join-endomorphism
+        # iff every value is the join of the values at the irreducibles below.
         return np.array_equal(lat.extend_by_joins(vals[list(lat.join_irreducibles)]), vals)
     return bool(_joins_preserved(lat, vals[None])[0])
 

@@ -26,12 +26,9 @@ gmeet scan still restarts at the first pair, which is the paper's cost.
 '''
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -45,7 +42,7 @@ ALL_PAIRS = 'all'
 COVER_PAIRS = 'covers'
 MAX_PAIRS = 10 ** 7
 
-_SUP, _CON, _FAIL = 0, 1, 2
+_SUP, _CON, _FAIL, _FLY = 0, 1, 2, 3
 
 
 @dataclass
@@ -233,35 +230,54 @@ class GMeetState:
 
     Pair ids follow (u join v, u, v) order, so the pair GMeet+ handles next
     (least join, then lexicographically least pair) is the least id of its
-    class, and the pairs with join w hold a contiguous id range.  Each pair
-    carries one class tag, None while it is in flight; Conflict and Failure
-    ids also sit in one min-heap per class.  Those pairs leave their class
-    only by being popped, so the heaps hold no stale ids.  Support is never
-    popped and needs no heap.
+    class, and the pairs with join w hold the id range wstart[w] to
+    wstart[w + 1].  The columns w, u, v are int32 and the ids of the pairs
+    containing x are by_ids[by_ptr[x]:by_ptr[x + 1]] (CSR), all read through
+    memoryviews, so scalar reads give Python ints.  Each pair carries one
+    class tag byte, _FLY while it is in flight; Conflict and Failure ids also
+    sit in one min-heap per class.  Those pairs leave their class only by
+    being popped, so the heaps hold no stale ids.  Support is never popped
+    and needs no heap.  Set-up numbers and classifies every pair in vector
+    passes; the repair passes touch a few pairs per reduction and stay
+    scalar, where numpy's fixed cost per call would dominate.
     '''
 
-    def __init__(self, view, sigma, pairs):
-        'pairs: ascending (u join v, u, v) triples; a pair\'s id is its index.'
+    def __init__(self, view, sigma, u, v):
+        '''sigma: the starting values as an array; u < v: the pair universe
+        as int32 arrays.  Charges each pair's join and its classification.'''
+        lat, n = view.lattice, view.n
         self.view = view
-        self.lattice = view.lattice
-        self.sigma = sigma
-        self.pairs = pairs
-        self.by_elem = [[] for _ in range(self.lattice.n)]
-        for pid, (_, u, v) in enumerate(pairs):
-            self.by_elem[u].append(pid)
-            self.by_elem[v].append(pid)
-        self.tag = [None] * len(pairs)
-        self.heaps = {_CON: [], _FAIL: []}
-        for pid in range(len(pairs)):
-            self.insert(pid, self.classify(pid))
+        self.lattice = lat
+        self.sigma = sigma.tolist()
+        # Set-up sets the peak memory, so each temporary goes before the next.
+        w = lat.join_many(u, v).astype(np.int32)
+        order = np.lexsort((v, u, w))
+        w, u, v = w[order], u[order], v[order]
+        del order
+        j, sw = lat.join_many(sigma[u], sigma[v]), sigma[w]
+        view.counts['join'] += 2 * len(w)
+        tag = np.where(j == sw, _SUP, np.where(lat.le_many(j, sw), _CON, _FAIL)).astype(np.uint8)
+        del j, sw
+        self.tag = bytearray(tag)
+        self.heaps = {kind: np.flatnonzero(tag == kind).tolist() for kind in (_CON, _FAIL)}
+        self.wstart = np.searchsorted(w, np.arange(n + 1)).tolist()
+        elems = np.stack([u, v], axis=1).ravel()
+        self.by_ptr = np.concatenate([[0], np.cumsum(np.bincount(elems, minlength=n))]).tolist()
+        self.by_ids = memoryview((np.argsort(elems, kind='stable') >> 1).astype(np.int32))
+        self.w, self.u, self.v = memoryview(w), memoryview(u), memoryview(v)
+
+    def pair(self, pid):
+        '(u join v, u, v) of the pair, as ints.'
+        return self.w[pid], self.u[pid], self.v[pid]
 
     def classify(self, pid):
         'Compare sigma(u) join sigma(v) against sigma(u join v); costs one join.'
-        w, u, v = self.pairs[pid]
-        j = self.view.join(self.sigma[u], self.sigma[v])
-        if j == self.sigma[w]:
+        s = self.sigma
+        w = s[self.w[pid]]
+        j = self.view.join(s[self.u[pid]], s[self.v[pid]])
+        if j == w:
             return _SUP
-        return _CON if self.lattice.le(j, self.sigma[w]) else _FAIL
+        return _CON if self.lattice.le(j, w) else _FAIL
 
     def insert(self, pid, kind):
         self.tag[pid] = kind
@@ -274,33 +290,35 @@ class GMeetState:
         if not heap:
             return None
         pid = heappop(heap)
-        self.tag[pid] = None
+        self.tag[pid] = _FLY
         return pid
 
     def flush_sup_to_fail(self, w):
         'All supports of w become failures (sigma(w) just strictly decreased).'
-        for pid in range(bisect_left(self.pairs, (w,)), bisect_left(self.pairs, (w + 1,))):
-            if self.tag[pid] == _SUP:
+        tag = self.tag
+        for pid in range(self.wstart[w], self.wstart[w + 1]):
+            if tag[pid] == _SUP:
                 self.insert(pid, _FAIL)
 
     def check_supports(self, x):
         'Re-test support pairs containing x after sigma(x) decreased.'
-        for pid in self.by_elem[x]:
-            if self.tag[pid] == _SUP:
+        tag = self.tag
+        for pid in self.by_ids[self.by_ptr[x]:self.by_ptr[x + 1]]:
+            if tag[pid] == _SUP:
                 self.insert(pid, self.classify(pid))
 
     def check_invariants(self):
         '''Raise AssertionError unless every pair but the one possibly in
         flight has one class, each heap holds exactly its class, and every
         Support pair is exact.'''
-        assert self.tag.count(None) <= 1, 'more than one pair in flight'
+        assert self.tag.count(_FLY) <= 1, 'more than one pair in flight'
+        tag = np.frombuffer(self.tag, np.uint8)
         for kind, heap in self.heaps.items():
-            members = [pid for pid, tag in enumerate(self.tag) if tag == kind]
-            assert sorted(heap) == members, 'heap does not match its class'
-        for pid, tag in enumerate(self.tag):
-            if tag == _SUP:
-                w, u, v = self.pairs[pid]
-                assert self.lattice.join(self.sigma[u], self.sigma[v]) == self.sigma[w]
+            assert sorted(heap) == np.flatnonzero(tag == kind).tolist(), \
+                'heap does not match its class'
+        s, sup = np.asarray(self.sigma), tag == _SUP
+        w, u, v = (np.asarray(c)[sup] for c in (self.w, self.u, self.v))
+        assert np.array_equal(self.lattice.join_many(s[u], s[v]), s[w]), 'inexact Support pair'
 
 
 def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
@@ -319,9 +337,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     pair list is built.
     '''
     view = _prep(lattice, fs, _tag, pair_universe, max_pairs)
-    sigma = _pointwise_meet(view, fs).tolist()
-    state = GMeetState(view, sigma, sorted(
-        (view.join(u, v), u, v) for u, v in _pair_universe(lattice, pair_universe)))
+    state = GMeetState(view, _pointwise_meet(view, fs), *_pair_universe(lattice, pair_universe))
     reductions = 0
 
     def emit(event):
@@ -338,7 +354,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
 
     def drain_failures():
         while (pid := state.pop(_FAIL)) is not None:
-            z, x, y = state.pairs[pid]
+            z, x, y = state.pair(pid)
             for t in (x, y):
                 m = view.meet(state.sigma[t], state.sigma[z])
                 if m != state.sigma[t]:
@@ -349,7 +365,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
 
     drain_failures()
     while (pid := state.pop(_CON)) is not None:
-        w, u, v = state.pairs[pid]
+        w, u, v = state.pair(pid)
         j = view.join(state.sigma[u], state.sigma[v])
         if j == state.sigma[w]:
             state.insert(pid, _SUP)
@@ -416,23 +432,44 @@ def _pair_count(lattice, kind):
     if kind == ALL_PAIRS:
         return lattice.n * (lattice.n - 1) // 2
     if kind == COVER_PAIRS:
-        return sum(comb(len(lattice.cover_set(w)), 2) for w in range(lattice.n))
+        k = np.bincount(_lower_covers(lattice)[1], minlength=lattice.n)
+        return int((k * (k + 1) // 2).sum())
     raise ValueError(f'unknown pair universe {kind!r}')
 
 
 def _pair_universe(lattice, kind):
+    '''The pairs u < v that GMeet+ checks, as int32 arrays (u, v): all of
+    them, or those within a cover set (the lower covers of w, plus w).'''
     if kind == ALL_PAIRS:
-        return [(u, v) for u in range(lattice.n) for v in range(u + 1, lattice.n)]
-    if kind == COVER_PAIRS:
+        u, v = np.triu_indices(lattice.n, 1)
+    elif kind == COVER_PAIRS:
         # A pair within cover_set(w) joins to w, so no pair lies in two
-        # cover sets and none is listed twice.
-        return [(a, b) if a < b else (b, a) for w in range(lattice.n)
-                for a, b in combinations(lattice.cover_set(w), 2)]
-    raise ValueError(f'unknown pair universe {kind!r}')
+        # cover sets and none is listed twice.  Edge k pairs with the later
+        # edges of its group, which ends at end[k].
+        lo, up = _lower_covers(lattice)
+        k = np.arange(len(up))
+        cnt = np.searchsorted(up, up, side='right') - k - 1
+        first = np.repeat(k, cnt)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        a, b = np.concatenate([lo[first], lo]), np.concatenate([lo[second], up])
+        u, v = np.minimum(a, b), np.maximum(a, b)
+    else:
+        raise ValueError(f'unknown pair universe {kind!r}')
+    return u.astype(np.int32), v.astype(np.int32)
+
+
+def _lower_covers(lattice):
+    '''(lo, up): every cover lo of up, as int arrays grouped by ascending up;
+    on a powerset, up with one bit flipped off.'''
+    if isinstance(lattice, PowersetLattice):
+        up, bit = np.nonzero(np.arange(lattice.n)[:, None] >> np.arange(lattice.m) & 1)
+        return up ^ (1 << bit), up
+    up, lo = np.nonzero(lattice._cover_matrix.T)
+    return lo, up
 
 
 def verify_01_relations_preserving(lattice, f):
     'True when f preserves the join of every pair within every cover set.'
-    a, b = np.array(_pair_universe(lattice, COVER_PAIRS), dtype=np.int64).reshape(-1, 2).T
+    a, b = _pair_universe(lattice, COVER_PAIRS)
     return np.array_equal(f.array[lattice.join_many(a, b)],
                           lattice.join_many(f.array[a], f.array[b]))

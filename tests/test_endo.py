@@ -20,7 +20,7 @@ from latmeet.endo import (Endofunction, _joins_preserved,
                           random_join_endomorphism)
 from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
 from latmeet.glb import gmeet
-from latmeet.latgen import random_lattice
+from latmeet.latgen import random_distributive_lattice, random_lattice
 from latmeet.lattice import build, chain, m_n, powerset, product
 
 
@@ -309,3 +309,26 @@ def test_joins_preserved_rows_match_definition():
         rows[-100:, lat.bottom] = lat.bottom
         want = [is_join_endo_by_definition(lat, tuple(r)) for r in rows]
         assert _joins_preserved(lat, rows).tolist() == want
+
+
+def test_is_join_endomorphism_agrees_with_joins_preserved_on_distributive_lattices():
+    # The irreducible-extension test runs on every distributive lattice, not
+    # only on powersets; a non-monotone chain map fails it.
+    assert not is_join_endomorphism(Endofunction(chain(3), (0, 2, 1)))
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in (1, 2, 5, 16, 33, 64):
+        for seed in range(3):
+            lat = random_distributive_lattice(n, seed=seed)
+            endos = [random_join_endomorphism(lat, seed=10 * seed + k).array for k in range(5)]
+            arbitrary = rng.integers(0, lat.n, size=(10, lat.n))
+            arbitrary[:5, lat.bottom] = lat.bottom
+            rows = np.vstack([endos, arbitrary])
+            perturbed = rows.copy()
+            perturbed[np.arange(len(rows)), rng.integers(0, lat.n, len(rows))] = \
+                rng.integers(0, lat.n, len(rows))
+            for row in np.vstack([rows, perturbed]):
+                want = bool(_joins_preserved(lat, row[None])[0])
+                assert is_join_endomorphism(Endofunction(lat, row)) == want, (lat.label, row)
+                seen.add(want)
+    assert seen == {True, False}

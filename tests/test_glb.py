@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, ROUTES, MeetResult, _pair_count
                          check_precondition, dmeet, dmeet_plus, gmeet,
                          gmeet_plus, gmeet_plus_modular, meet_algorithms,
                          verify_01_relations_preserving)
-from latmeet.lattice import build, chain, m_n, powerset
+from latmeet.lattice import build, chain, from_cover_relation, m_n, powerset
 
 ALL_ALGS = ('brute', 'a1', 'dmeet', 'dmeet+', 'gmeet', 'gmeet+', 'gmeet+mod')
 
@@ -157,11 +158,31 @@ def test_gmeet_plus_modular_refuses_cover_pairs_before_building_them():
     assert peak < 2 * 2 ** 20
 
 
+def _unsorted_cover_lattices():
+    'Lattices whose element indices are not a linear extension of the order.'
+    n5_shuffled = from_cover_relation(5, [(4, 3), (3, 1), (1, 0), (4, 2), (2, 0)], 'n5-shuffled')
+    cube_upside = from_cover_relation(
+        8, [(7 - a, 7 - (a | 1 << i)) for a in range(8) for i in range(3) if not a >> i & 1],
+        'powerset:3-upside')
+    return [n5_shuffled, cube_upside]
+
+
 def test_pair_count_matches_the_built_universe():
-    for lat in small_corpus():
+    for lat in small_corpus() + _unsorted_cover_lattices():
         for kind in (ALL_PAIRS, COVER_PAIRS):
-            pairs = _pair_universe(lat, kind)
-            assert _pair_count(lat, kind) == len(pairs) == len(set(pairs)), (lat.label, kind)
+            u, v = _pair_universe(lat, kind)
+            pairs = set(zip(u.tolist(), v.tolist()))
+            assert _pair_count(lat, kind) == len(u) == len(v) == len(pairs), (lat.label, kind)
+            assert all(a < b for a, b in pairs), (lat.label, kind)
+
+
+def test_cover_pair_universe_matches_the_cover_set_comprehension():
+    # small_corpus holds powerset:0 and chain:1, whose universes are empty.
+    for lat in small_corpus() + _unsorted_cover_lattices():
+        want = [(a, b) if a < b else (b, a) for w in range(lat.n)
+                for a, b in combinations(lat.cover_set(w), 2)]
+        u, v = _pair_universe(lat, COVER_PAIRS)
+        assert sorted(zip(u.tolist(), v.tolist())) == sorted(want), lat.label
 
 
 def test_meet_algorithms_is_a_view_of_the_route_table():

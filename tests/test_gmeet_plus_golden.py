@@ -2,9 +2,13 @@
 on_event stream of gmeet+ and gmeet+mod on a fixed set of cases.
 
 The pinned records were produced by the bucket-list implementation that
-preceded the join-ordered pair ids, so any change to the pop order, the
-op count or the moment a sigma reduction fires shows up here.  The event
-digest hashes each event kind together with the sigma after it.
+preceded the join-ordered pair ids (the 3x3 grids by the tuple-list
+implementation that preceded the array bookkeeping), so any change to the
+pop order, the op count or the moment a sigma reduction fires shows up
+here.  The event digest hashes each event kind together with the sigma
+after it.  On the 3x3 grids (512 elements, tens of thousands of events) it
+hashes sigma after each reduce event only: a move never changes sigma, so
+that pins the same stream at a fraction of the hashing.
 '''
 from __future__ import annotations
 
@@ -42,7 +46,11 @@ CASES = {
     'downsets:32/9': lambda: _family(random_distributive_lattice(32, seed=9), (17, 18, 19)),
     'grid:2x3/hpair,vpair': lambda: _dilations(2, 3, ('hpair', 'vpair')),
     'grid:2x3/hpair,vline,diag': lambda: _dilations(2, 3, ('hpair', 'vline', 'diag')),
+    'grid:3x3/hpair,vpair': lambda: _dilations(3, 3, ('hpair', 'vpair')),
+    'grid:3x3/cross,diag,hline': lambda: _dilations(3, 3, ('cross', 'diag', 'hline')),
 }
+# Cases whose digest hashes sigma after reduce events only.
+REDUCE_DIGEST = {'grid:3x3/hpair,vpair', 'grid:3x3/cross,diag,hline'}
 
 
 def record(case, route):
@@ -51,10 +59,14 @@ def record(case, route):
     fn = gmeet_plus if route == 'gmeet+' else gmeet_plus_modular
     digest = hashlib.sha256()
     kinds = []
+    moves_too = case not in REDUCE_DIGEST
 
     def watch(state, event):
         kinds.append(event)
-        digest.update(f'{event}:{",".join(map(str, state.sigma))}\n'.encode())
+        if moves_too or event == 'reduce':
+            digest.update(f'{event}:{",".join(map(str, state.sigma))}\n'.encode())
+        else:
+            digest.update(b'move\n')
 
     result = fn(lat, fs, on_event=watch)
     return {
@@ -149,6 +161,14 @@ GOLDEN = {
                 56, 57, 58, 59, 60, 61, 62, 63),
         op_counts={'join': 1058, 'meet': 270, 'subtraction': 0},
         sigma_reductions=10, events=(10, 88), digest='b9d75ee1344bcb18'),
+    ('grid:3x3/hpair,vpair', 'gmeet+'): dict(
+        values=tuple(range(512)),
+        op_counts={'join': 426284, 'meet': 21728, 'subtraction': 0},
+        sigma_reductions=232, events=(232, 67332), digest='8e27ae5673b62750'),
+    ('grid:3x3/cross,diag,hline', 'gmeet+mod'): dict(
+        values=tuple(range(512)),
+        op_counts={'join': 23547, 'meet': 4152, 'subtraction': 0},
+        sigma_reductions=268, events=(268, 3791), digest='d9dafb2f188bab80'),
 }
 
 

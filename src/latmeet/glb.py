@@ -444,8 +444,9 @@ def _pair_universe(lattice, kind):
         u, v = np.triu_indices(lattice.n, 1)
     elif kind == COVER_PAIRS:
         # A pair within cover_set(w) joins to w, so no pair lies in two
-        # cover sets and none is listed twice.  Edge k pairs with the later
-        # edges of its group, which ends at end[k].
+        # cover sets and none is listed twice.  Besides the edges (lo, up)
+        # themselves, edge k pairs its lo with those of the cnt[k] edges
+        # after it in its group.
         lo, up = _lower_covers(lattice)
         k = np.arange(len(up))
         cnt = np.searchsorted(up, up, side='right') - k - 1

@@ -273,11 +273,11 @@ class GMeetState:
     def classify(self, pid):
         'Compare sigma(u) join sigma(v) against sigma(u join v); costs one join.'
         s = self.sigma
-        w = s[self.w[pid]]
+        sw = s[self.w[pid]]
         j = self.view.join(s[self.u[pid]], s[self.v[pid]])
-        if j == w:
+        if j == sw:
             return _SUP
-        return _CON if self.lattice.le(j, w) else _FAIL
+        return _CON if self.lattice.le(j, sw) else _FAIL
 
     def insert(self, pid, kind):
         self.tag[pid] = kind

@@ -13,9 +13,9 @@ from .errors import (AugmentationError, BudgetExceededError, EmptySetError,
 from .glb import (MeetResult, a1_naive, brute_force_meet, dmeet, dmeet_plus,
                   gmeet, gmeet_plus, gmeet_plus_modular, meet_algorithms,
                   verify_01_relations_preserving)
-from .lattice import (Lattice, LatticeBase, OpCountingLattice, PowersetLattice,
-                      build, chain, from_cover_relation, from_leq, m_n,
-                      powerset, product, read_cover_file, write_cover_file)
+from .lattice import (Lattice, LatticeBase, PowersetLattice, build, chain,
+                      from_cover_relation, from_leq, m_n, powerset, product,
+                      read_cover_file, write_cover_file)
 
 __version__ = '0.1.0'
 
@@ -23,7 +23,7 @@ __all__ = [
     'AugmentationError', 'BudgetExceededError', 'EmptySetError',
     'Endofunction', 'Lattice', 'LatticeBase', 'LatmeetError', 'MeetResult',
     'NotALatticeError', 'NotDistributiveError', 'NotModularError',
-    'OpCountingLattice', 'OutOfRangeError', 'PowersetLattice',
+    'OutOfRangeError', 'PowersetLattice',
     'RetryExhaustedError', 'SizeUnreachableError', 'a1_naive',
     'brute_force_meet', 'build', 'chain', 'count_join_endomorphisms', 'dmeet',
     'dmeet_plus', 'enumerate_join_endomorphisms', 'format_endofunction',

@@ -17,12 +17,15 @@ sound on modular lattices.  ROUTES is the one table of routes and the
 domain each requires; check_precondition raises the typed error for a
 lattice outside it.  Every algorithm reports how many binary lattice
 operations it performed and, for the iterative ones, how many times sigma
-strictly decreased at an element.  a1, dmeet and gmeet run as numpy kernels
-over blocks of elements and charge in bulk exactly what their element loops
-performed: n^3 + Q joins and Q meets per a1 fold, Q the number of (c, a, b)
-with c <= a join b; one subtraction, join and meet per a <= c per dmeet
-fold; 2 joins per pair a gmeet scan reads, up to the first violation.  Each
-gmeet scan still restarts at the first pair, which is the paper's cost.
+strictly decreased at an element.  This module is the one home of that cost
+model: each route calls the lattice backend directly and charges the paper's
+count next to the operation it charges; order tests are free.  a1, dmeet and
+gmeet run as numpy kernels over blocks of elements and charge in bulk
+exactly what their element loops performed: n^3 + Q joins and Q meets per
+a1 fold, Q the number of (c, a, b) with c <= a join b; one subtraction,
+join and meet per a <= c per dmeet fold; 2 joins per pair a gmeet scan
+reads, up to the first violation.  Each gmeet scan still restarts at the
+first pair, which is the paper's cost.
 '''
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ class MeetResult:
 
 
 def _prep(lattice, fs, algorithm, pairs=None, max_pairs=MAX_PAIRS):
-    'The counting view, after checking S and (given `pairs`) the pair budget.'
+    'Fresh op counts, after checking S and (given `pairs`) the pair budget.'
     if not fs:
         raise EmptySetError(f'{algorithm}: the family S must be nonempty')
     for f in fs:
@@ -66,50 +69,51 @@ def _prep(lattice, fs, algorithm, pairs=None, max_pairs=MAX_PAIRS):
             raise ValueError(f'{algorithm}: endofunction does not match {lattice.label}')
     if pairs is not None and (count := _pair_count(lattice, pairs)) > max_pairs:
         raise BudgetExceededError(f'{algorithm}: {count} pairs exceed max_pairs={max_pairs}')
-    return lattice.instrumented_view()
+    return {'join': 0, 'meet': 0, 'subtraction': 0}
 
 
 def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
     '''Join of every join-endomorphism below all of S.  Exponential; the oracle.
     The enumeration itself refuses a space above the budget.'''
-    view = _prep(lattice, fs, 'brute')
+    counts = _prep(lattice, fs, 'brute')
     bound = pointwise_meet_many(fs)     # g <= every f in S iff g <= their pointwise meet
     vals = [lattice.bottom] * lattice.n
     for g in enumerate_join_endomorphisms(lattice, budget):
         if pointwise_leq(g, bound):
-            vals = view.join_many(vals, g.array)
-    return MeetResult(Endofunction(lattice, vals), 'brute', view.counts)
+            vals = lattice.join_many(vals, g.array)
+            counts['join'] += lattice.n
+    return MeetResult(Endofunction(lattice, vals), 'brute', counts)
 
 
 def a1_naive(lattice, fs):
     '''h(c) = meet of f(a) join g(b) over every pair with a join b >= c.  Each
     fold tabulates f(a) join g(b) and masks it by c <= a join b per block of c.'''
     check_precondition('a1', lattice)
-    view, n, e = _prep(lattice, fs, 'a1'), lattice.n, np.arange(lattice.n)
+    counts, n, e = _prep(lattice, fs, 'a1'), lattice.n, np.arange(lattice.n)
     joins = lattice.join_many(e[:, None], e).ravel()
     h = fs[0]
     for g in fs[1:]:
         vals = lattice.join_many(h.array[:, None], g.array).ravel()
         h, q = _meet_blocks(lattice, ((cs, vals, lattice.le_many(cs[:, None], joins))
                                       for cs in _blocks(e, n * n)))
-        view.counts['join'] += n ** 3 + q
-        view.counts['meet'] += q
-    return MeetResult(h, 'a1', view.counts)
+        counts['join'] += n ** 3 + q
+        counts['meet'] += q
+    return MeetResult(h, 'a1', counts)
 
 
 def dmeet(lattice, fs):
     '''h(c) = meet of f(a) join g(c - a) over a <= c, using co-Heyting
     subtraction; each fold runs over the blocks of _down_blocks.'''
     check_precondition('dmeet', lattice)
-    view, h = _prep(lattice, fs, 'dmeet'), fs[0]
+    counts, h = _prep(lattice, fs, 'dmeet'), fs[0]
     for g in fs[1:]:
         f = h.array
         h, q = _meet_blocks(lattice, (
             (cs, lattice.join_many(f[a], g.array[lattice.subtraction_many(cs[:, None], a)]), keep)
             for cs, a, keep in _down_blocks(lattice)))
-        for op in view.counts:
-            view.counts[op] += q
-    return MeetResult(h, 'dmeet', view.counts)
+        for op in counts:
+            counts[op] += q
+    return MeetResult(h, 'dmeet', counts)
 
 
 def _down_blocks(lat):
@@ -161,16 +165,18 @@ def dmeet_plus(lattice, fs):
     Per pairwise fold this costs exactly |J(L)| meets and n - |J(L)| - 1
     joins: one meet per irreducible, one join per reducible non-bottom
     element (its value is the join at two covered elements).  The fold runs
-    as vector passes, so the view charges those counts in bulk.
+    as vector passes and charges those counts in bulk.
     '''
     check_precondition('dmeet+', lattice)
-    view = _prep(lattice, fs, 'dmeet+')
+    counts = _prep(lattice, fs, 'dmeet+')
     jirr = list(lattice.join_irreducibles)
     out = fs[0]
     for g in fs[1:]:
-        met = view.meet_many(out.array[jirr], g.array[jirr])
-        out = Endofunction(lattice, view.extend_by_joins(met))
-    return MeetResult(out, 'dmeet+', view.counts)
+        met = lattice.meet_many(out.array[jirr], g.array[jirr])
+        out = Endofunction(lattice, lattice.extend_by_joins(met))
+        counts['meet'] += len(jirr)
+        counts['join'] += lattice.n - len(jirr) - 1
+    return MeetResult(out, 'dmeet+', counts)
 
 
 def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
@@ -182,31 +188,32 @@ def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
     met with sigma(u join v).  `on_update` receives the sigma tuple after
     every update round.
     '''
-    view = _prep(lattice, fs, 'gmeet', ALL_PAIRS, max_pairs)
-    sigma = _pointwise_meet(view, fs)
+    counts = _prep(lattice, fs, 'gmeet', ALL_PAIRS, max_pairs)
+    sigma = _pointwise_meet(lattice, counts, fs)
     reductions = 0
-    while (hit := _first_violation(view, sigma)) is not None:
+    while (hit := _first_violation(lattice, counts, sigma)) is not None:
         u, v, w, j = hit
         if lattice.le(j, sigma[w]):
             sigma[w] = j
             reductions += 1
         else:
+            counts['meet'] += 2
             for t in (u, v):
-                m = view.meet(int(sigma[t]), int(sigma[w]))
+                m = lattice.meet(int(sigma[t]), int(sigma[w]))
                 if m != sigma[t]:
                     sigma[t] = m
                     reductions += 1
         if on_update is not None:
             on_update(tuple(sigma.tolist()))
-    return MeetResult(Endofunction(lattice, sigma), 'gmeet', view.counts, reductions)
+    return MeetResult(Endofunction(lattice, sigma), 'gmeet', counts, reductions)
 
 
-def _first_violation(view, sigma):
+def _first_violation(lat, counts, sigma):
     '''The row-major first pair u < v with sigma(u) join sigma(v) !=
     sigma(u join v), as (u, v, u join v, that join), or None.  Hits tend to
     come early, so row blocks start at one row.  A pair v <= u never fails
     first: (u, u) holds and (v, u) comes in an earlier row.'''
-    lat, n, v = view.lattice, view.n, np.arange(view.n)
+    n, v = lat.n, np.arange(lat.n)
     for us in _blocks(v, n, rows=1):
         w = lat.join_many(us[:, None], v)
         j = lat.join_many(sigma[us, None], sigma)
@@ -214,15 +221,16 @@ def _first_violation(view, sigma):
         if bad.any():
             r, c = divmod(int(bad.argmax()), n)
             u = int(us[r])
-            view.counts['join'] += 2 * (u * (n - 1) - u * (u - 1) // 2 + c - u)
+            counts['join'] += 2 * (u * (n - 1) - u * (u - 1) // 2 + c - u)
             return u, c, int(w[r, c]), int(j[r, c])
-    view.counts['join'] += n * (n - 1)
+    counts['join'] += n * (n - 1)
     return None
 
 
-def _pointwise_meet(view, fs):
+def _pointwise_meet(lat, counts, fs):
     'The starting sigma, S met pointwise as an array; |S| meets per element, from top.'
-    return reduce(view.meet_many, (f.array for f in fs), np.full(view.n, view.top))
+    counts['meet'] += len(fs) * lat.n
+    return reduce(lat.meet_many, (f.array for f in fs), np.full(lat.n, lat.top))
 
 
 class GMeetState:
@@ -242,12 +250,12 @@ class GMeetState:
     scalar, where numpy's fixed cost per call would dominate.
     '''
 
-    def __init__(self, view, sigma, u, v):
+    def __init__(self, lattice, counts, sigma, u, v):
         '''sigma: the starting values as an array; u < v: the pair universe
-        as int32 arrays.  Charges each pair's join and its classification.'''
-        lat, n = view.lattice, view.n
-        self.view = view
-        self.lattice = lat
+        as int32 arrays.  Charges each pair's join and its classification
+        to `counts`, as classify does.'''
+        lat, n = lattice, lattice.n
+        self.lattice, self.counts = lattice, counts
         self.sigma = sigma.tolist()
         # Set-up sets the peak memory, so each temporary goes before the next.
         w = lat.join_many(u, v).astype(np.int32)
@@ -255,7 +263,7 @@ class GMeetState:
         w, u, v = w[order], u[order], v[order]
         del order
         j, sw = lat.join_many(sigma[u], sigma[v]), sigma[w]
-        view.counts['join'] += 2 * len(w)
+        counts['join'] += 2 * len(w)
         tag = np.where(j == sw, _SUP, np.where(lat.le_many(j, sw), _CON, _FAIL)).astype(np.uint8)
         del j, sw
         self.tag = bytearray(tag)
@@ -274,7 +282,8 @@ class GMeetState:
         'Compare sigma(u) join sigma(v) against sigma(u join v); costs one join.'
         s = self.sigma
         sw = s[self.w[pid]]
-        j = self.view.join(s[self.u[pid]], s[self.v[pid]])
+        j = self.lattice.join(s[self.u[pid]], s[self.v[pid]])
+        self.counts['join'] += 1
         if j == sw:
             return _SUP
         return _CON if self.lattice.le(j, sw) else _FAIL
@@ -336,8 +345,9 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     ("move").  The pair universe is counted against `max_pairs` before any
     pair list is built.
     '''
-    view = _prep(lattice, fs, _tag, pair_universe, max_pairs)
-    state = GMeetState(view, _pointwise_meet(view, fs), *_pair_universe(lattice, pair_universe))
+    counts = _prep(lattice, fs, _tag, pair_universe, max_pairs)
+    state = GMeetState(lattice, counts, _pointwise_meet(lattice, counts, fs),
+                       *_pair_universe(lattice, pair_universe))
     reductions = 0
 
     def emit(event):
@@ -355,18 +365,21 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     def drain_failures():
         while (pid := state.pop(_FAIL)) is not None:
             z, x, y = state.pair(pid)
+            counts['meet'] += 2
+            counts['join'] += 1
             for t in (x, y):
-                m = view.meet(state.sigma[t], state.sigma[z])
+                m = lattice.meet(state.sigma[t], state.sigma[z])
                 if m != state.sigma[t]:
                     reduce_at(t, m)
-            j = view.join(state.sigma[x], state.sigma[y])
+            j = lattice.join(state.sigma[x], state.sigma[y])
             state.insert(pid, _SUP if j == state.sigma[z] else _CON)
             emit('move')
 
     drain_failures()
     while (pid := state.pop(_CON)) is not None:
         w, u, v = state.pair(pid)
-        j = view.join(state.sigma[u], state.sigma[v])
+        j = lattice.join(state.sigma[u], state.sigma[v])
+        counts['join'] += 1
         if j == state.sigma[w]:
             state.insert(pid, _SUP)
             emit('move')
@@ -379,7 +392,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
         reduce_at(w, j)
         state.insert(pid, _SUP)
         drain_failures()
-    return MeetResult(Endofunction(lattice, state.sigma), _tag, view.counts, reductions)
+    return MeetResult(Endofunction(lattice, state.sigma), _tag, counts, reductions)
 
 
 def gmeet_plus_modular(lattice, fs, on_event=None, max_pairs=MAX_PAIRS):
@@ -432,7 +445,7 @@ def _pair_count(lattice, kind):
     if kind == ALL_PAIRS:
         return lattice.n * (lattice.n - 1) // 2
     if kind == COVER_PAIRS:
-        k = np.bincount(_lower_covers(lattice)[1], minlength=lattice.n)
+        k = np.bincount(lattice.lower_covers()[1], minlength=lattice.n)
         return int((k * (k + 1) // 2).sum())
     raise ValueError(f'unknown pair universe {kind!r}')
 
@@ -447,7 +460,7 @@ def _pair_universe(lattice, kind):
         # cover sets and none is listed twice.  Besides the edges (lo, up)
         # themselves, edge k pairs its lo with those of the cnt[k] edges
         # after it in its group.
-        lo, up = _lower_covers(lattice)
+        lo, up = lattice.lower_covers()
         k = np.arange(len(up))
         cnt = np.searchsorted(up, up, side='right') - k - 1
         first = np.repeat(k, cnt)
@@ -457,16 +470,6 @@ def _pair_universe(lattice, kind):
     else:
         raise ValueError(f'unknown pair universe {kind!r}')
     return u.astype(np.int32), v.astype(np.int32)
-
-
-def _lower_covers(lattice):
-    '''(lo, up): every cover lo of up, as int arrays grouped by ascending up;
-    on a powerset, up with one bit flipped off.'''
-    if isinstance(lattice, PowersetLattice):
-        up, bit = np.nonzero(np.arange(lattice.n)[:, None] >> np.arange(lattice.m) & 1)
-        return up ^ (1 << bit), up
-    up, lo = np.nonzero(lattice._cover_matrix.T)
-    return lo, up
 
 
 def verify_01_relations_preserving(lattice, f):

@@ -5,9 +5,7 @@ Two interchangeable backends implement the same element-level interface:
 tables, `PowersetLattice` represents elements as bitmasks and computes every
 operation directly (full tables for 2^16 elements would not fit in memory).
 Instances are immutable once built; array operations (`join_many` and kin,
-`extend_by_joins`) run as numpy passes.  `instrumented_view` wraps either
-backend with per-operation counters for the cost model used by the meet
-algorithms: joins, meets and subtractions are counted, order tests are free.
+`extend_by_joins`) run as numpy passes.
 '''
 from __future__ import annotations
 
@@ -34,9 +32,6 @@ class LatticeBase:
     def cover_set(self, a):
         'Elements covered by a, plus a itself.'
         return self.covers_of(a) + (a,)
-
-    def instrumented_view(self):
-        return OpCountingLattice(self)
 
     def jdown(self, c):
         'Join-irreducibles below (or equal to) c.'
@@ -135,7 +130,7 @@ class Lattice(LatticeBase):
         cover; covers join largest first while they add one (two, if distributive).'''
         n, index = self.n, {j: k for k, j in enumerate(self.join_irreducibles)}
         covers = [[] for _ in range(n)]
-        for c, e in zip(*(axis.tolist() for axis in np.nonzero(self._cover_matrix))):
+        for c, e in zip(*(axis.tolist() for axis in self.lower_covers())):
             covers[e].append(c)
         rank, below, slots = np.zeros(n, dtype=np.intp), [0] * n, [[] for _ in range(n)]
         for e in self.linear_extension():        # below[e]: bit k set iff J[k] <= e
@@ -193,9 +188,11 @@ class Lattice(LatticeBase):
         'Elements covered by a (lower covers), ascending.'
         return tuple(int(b) for b in np.flatnonzero(self._cover_matrix[:, a]))
 
-    def cover_edges(self):
-        'All pairs (a, b) with b covering a, lexicographic.'
-        return [(int(a), int(b)) for a, b in zip(*np.nonzero(self._cover_matrix))]
+    def lower_covers(self):
+        '''(lo, up): every cover lo of up, as int arrays grouped by ascending
+        up, lo ascending within a group.'''
+        up, lo = np.nonzero(self._cover_matrix.T)
+        return lo, up
 
     @cached_property
     def join_irreducibles(self):
@@ -299,8 +296,11 @@ class PowersetLattice(LatticeBase):
     def covers_of(self, a):
         return tuple(sorted(a ^ (1 << i) for i in range(self.m) if a >> i & 1))
 
-    def cover_edges(self):
-        return sorted((b, a) for a in range(self.n) for b in self.covers_of(a))
+    def lower_covers(self):
+        'As Lattice.lower_covers: up with one bit flipped off, high bits first.'
+        bits = 1 << np.arange(self.m)[::-1]
+        up, k = np.nonzero(np.arange(self.n)[:, None] & bits)
+        return up ^ bits[k], up
 
     @property
     def join_irreducibles(self):
@@ -345,49 +345,6 @@ class PowersetLattice(LatticeBase):
         self._guard_table()
         x = np.arange(self.n, dtype=np.int32)
         return np.bitwise_and.outer(x, x)
-
-
-class OpCountingLattice:
-    '''View of a lattice that counts join/meet/subtraction calls.
-
-    Order tests and structure queries are free: only binary lattice
-    operations are charged, arrays in bulk, one per element pair
-    (extend_by_joins: one join per join-reducible element above bottom).
-    subtraction_many passes through uncounted; its callers charge the pairs.
-    '''
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-        self.counts = {'join': 0, 'meet': 0, 'subtraction': 0}
-
-    def join(self, a, b):
-        self.counts['join'] += 1
-        return self.lattice.join(a, b)
-
-    def meet(self, a, b):
-        self.counts['meet'] += 1
-        return self.lattice.meet(a, b)
-
-    def subtraction(self, c, a):
-        self.counts['subtraction'] += 1
-        return self.lattice.subtraction(c, a)
-
-    def join_many(self, a, b):
-        out = self.lattice.join_many(a, b)
-        self.counts['join'] += np.size(out)
-        return out
-
-    def meet_many(self, a, b):
-        out = self.lattice.meet_many(a, b)
-        self.counts['meet'] += np.size(out)
-        return out
-
-    def extend_by_joins(self, jvals):
-        self.counts['join'] += self.n - len(self.join_irreducibles) - 1
-        return self.lattice.extend_by_joins(jvals)
-
-    def __getattr__(self, name):
-        return getattr(self.lattice, name)
 
 
 # -- builders -------------------------------------------------------------------
@@ -449,16 +406,21 @@ def product(a, b, label=None):
     na, nb = a.n, b.n
     if na * nb > TABLE_LIMIT:
         raise BudgetExceededError(f'product size {na * nb} exceeds {TABLE_LIMIT}')
-    leq_a, jt_a, mt_a = a.leq, np.asarray(a.join_table), np.asarray(a.meet_table)
-    leq_b, jt_b, mt_b = b.leq, np.asarray(b.join_table), np.asarray(b.meet_table)
-    leq = np.kron(leq_a.astype(np.uint8), leq_b.astype(np.uint8)).astype(bool)
-    blow = lambda t: np.repeat(np.repeat(t, nb, axis=0), nb, axis=1).astype(np.int64)
-    tile = lambda t: np.tile(t, (na, na)).astype(np.int64)
+
+    def pair(op, x, y):
+        '''op(x[i, k], y[j, l]) at row (i, j), column (k, l), broadcast into
+        one fresh array: no (n, n) temporaries.'''
+        return op(x[:, None, :, None], y[None, :, None, :]).reshape(na * nb, na * nb)
+
+    def table(ta, tb):
+        return pair(np.add, np.asarray(ta, np.int32) * np.int32(nb), np.asarray(tb, np.int32))
+
     dist = a.is_distributive() and b.is_distributive()
     mod = a.is_modular() and b.is_modular()
-    return Lattice(leq, label=label if label is not None else f'product({a.label},{b.label})',
-                   join_table=blow(jt_a) * nb + tile(jt_b),
-                   meet_table=blow(mt_a) * nb + tile(mt_b),
+    return Lattice(pair(np.logical_and, a.leq, b.leq),
+                   label=label if label is not None else f'product({a.label},{b.label})',
+                   join_table=table(a.join_table, b.join_table),
+                   meet_table=table(a.meet_table, b.meet_table),
                    distributive=dist, modular=mod, check=False)
 
 
@@ -516,7 +478,7 @@ def write_cover_file(fh, lattice, comment=None):
     if comment:
         fh.write(f'# {comment}\n')
     fh.write(f'{lattice.n}\n')
-    for a, b in sorted(lattice.cover_edges()):
+    for a, b in sorted(zip(*(x.tolist() for x in lattice.lower_covers()))):
         fh.write(f'{a} {b}\n')
 
 

@@ -54,6 +54,40 @@ def test_meet_all_algorithms_agree_via_cli(capsys):
     assert len(set(results.values())) == 1
 
 
+MEET_ROW = '0 8 0 8 0 8 0 8 4 12 4 12 4 12 4 12\n'
+MN_ROW = '0 0 0 0 0 0 0 0 0 0\n'
+
+
+@pytest.mark.parametrize('lattice, k, alg, expected', [
+    ('chain:2*powerset:3', 3, 'brute', MEET_ROW + '# ops: join=64 meet=0 subtraction=0 '
+     'sigma_reductions=0 algorithm=brute\n'),
+    ('chain:2*powerset:3', 3, 'a1', MEET_ROW + '# ops: join=12994 meet=4802 subtraction=0 '
+     'sigma_reductions=0 algorithm=a1\n'),
+    ('chain:2*powerset:3', 3, 'dmeet', MEET_ROW + '# ops: join=162 meet=162 subtraction=162 '
+     'sigma_reductions=0 algorithm=dmeet\n'),
+    ('chain:2*powerset:3', 3, 'dmeet+', MEET_ROW + '# ops: join=22 meet=8 subtraction=0 '
+     'sigma_reductions=0 algorithm=dmeet+\n'),
+    ('chain:2*powerset:3', 3, 'gmeet', MEET_ROW + '# ops: join=1028 meet=48 subtraction=0 '
+     'sigma_reductions=13 algorithm=gmeet\n'),
+    ('chain:2*powerset:3', 3, 'gmeet+', MEET_ROW + '# ops: join=423 meet=164 subtraction=0 '
+     'sigma_reductions=10 algorithm=gmeet+\n'),
+    ('chain:2*powerset:3', 3, 'gmeet+mod', MEET_ROW + '# ops: join=199 meet=100 subtraction=0 '
+     'sigma_reductions=10 algorithm=gmeet+mod\n'),
+    ('mn:3*chain:2', 2, 'brute', MN_ROW + '# ops: join=10 meet=0 subtraction=0 '
+     'sigma_reductions=0 algorithm=brute\n'),
+    ('mn:3*chain:2', 2, 'gmeet', MN_ROW + '# ops: join=306 meet=22 subtraction=0 '
+     'sigma_reductions=7 algorithm=gmeet\n'),
+    ('mn:3*chain:2', 2, 'gmeet+', MN_ROW + '# ops: join=145 meet=70 subtraction=0 '
+     'sigma_reductions=6 algorithm=gmeet+\n'),
+    ('mn:3*chain:2', 2, 'gmeet+mod', MN_ROW + '# ops: join=94 meet=52 subtraction=0 '
+     'sigma_reductions=6 algorithm=gmeet+mod\n'),
+], ids=lambda v: v if isinstance(v, str) and '\n' not in v else '')
+def test_meet_stdout_and_op_counts_are_pinned(capsys, lattice, k, alg, expected):
+    'Each route\'s values and its op-count line, in the paper\'s cost model.'
+    assert run(capsys, 'meet', '--lattice', lattice, '--random', str(k), '--seed', '0',
+               '--alg', alg) == (0, expected, '')
+
+
 def test_meet_from_endo_files(capsys, tmp_path):
     fa = tmp_path / 'f.txt'
     fb = tmp_path / 'g.txt'

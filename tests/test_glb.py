@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -353,10 +353,11 @@ def test_a1_and_dmeet_agree_with_dmeet_plus(meet_cases):
 
 
 def test_op_counts_only_contain_lattice_ops(meet_cases):
-    case = meet_cases[0]
-    for name in ALL_ALGS:
+    for case, name in product(meet_cases[:2], ALL_ALGS):
         if route_applies(case['lattice'], name):
             result = _run(case['lattice'], name, case['fs'])
             assert set(result.op_counts) <= {'join', 'meet', 'subtraction'}
+            assert list(result.op_counts) == ['join', 'meet', 'subtraction']
+            assert all(type(v) is int for v in result.op_counts.values())
             assert all(v >= 0 for v in result.op_counts.values())
             assert result.total_ops == sum(result.op_counts.values())

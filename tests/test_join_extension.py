@@ -112,17 +112,6 @@ def test_pointwise_helpers_match_elementwise_definitions():
         assert pointwise_leq(pointwise_meet_many(fs), g)
 
 
-def test_view_charges_array_operations_in_bulk():
-    lat = random_distributive_lattice(48, seed=2)
-    m = len(lat.join_irreducibles)
-    view = lat.instrumented_view()
-    view.join_many([1, 2, 3], [3, 2, 1])
-    view.meet_many([1, 2], [2, 1])
-    view.le_many([1, 2], [2, 1])
-    view.extend_by_joins([0] * m)
-    assert view.counts == {'join': 3 + lat.n - m - 1, 'meet': 2, 'subtraction': 0}
-
-
 @pytest.mark.parametrize('n', [64, 100, 512])
 def test_dmeet_plus_fold_counts_on_tables(n):
     lat = random_distributive_lattice(n, seed=7)

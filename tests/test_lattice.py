@@ -65,6 +65,9 @@ def test_mask_backed_powerset_matches_table_backed():
 
 def test_covers_are_immediate_predecessors(corpus_lattice):
     lat = corpus_lattice
+    lo, up = lat.lower_covers()
+    assert list(zip(lo.tolist(), up.tolist())) == [
+        (a, b) for b in range(lat.n) for a in lat.covers_of(b)]
     for b in range(lat.n):
         covers = lat.covers_of(b)
         assert list(covers) == sorted(covers)
@@ -238,17 +241,6 @@ def test_build_file_spec(tmp_path):
     assert lat.n == 5 and not lat.is_modular()
 
 
-def test_instrumented_view_counts():
-    lat = powerset(2)
-    view = lat.instrumented_view()
-    view.join(1, 2)
-    view.join(0, 3)
-    view.meet(1, 2)
-    view.subtraction(3, 1)
-    assert view.counts == {'join': 2, 'meet': 1, 'subtraction': 1}
-    assert view.le(1, 3) and view.counts['join'] == 2
-
-
 def test_powerset_table_guard():
     big = powerset(13)
     with pytest.raises(BudgetExceededError):
@@ -264,6 +256,21 @@ def test_product_order_is_componentwise():
             la, ra = divmod(a, right.n)
             lb, rb = divmod(b, right.n)
             assert prod.le(a, b) == (left.le(la, lb) and right.le(ra, rb))
+
+
+def test_product_builds_its_tables_without_n_by_n_temporaries():
+    '''The order and both tables are broadcast straight into their bool and
+    int32 arrays, so the peak stays within what the lattice keeps plus
+    1.5 * 4n^2 bytes.'''
+    tracemalloc.start()
+    try:
+        lat = build('mn:30*mn:30')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = lat.leq.nbytes + lat.join_table.nbytes + lat.meet_table.nbytes
+    assert lat.n == 1024 and kept == 9 * lat.n ** 2
+    assert peak <= kept + 1.5 * 4 * lat.n ** 2, (peak, kept)
 
 
 @settings(max_examples=60, deadline=None)

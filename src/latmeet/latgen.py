@@ -29,7 +29,7 @@ from .endo import count_join_endomorphisms
 from .errors import (AugmentationError, BudgetExceededError, OutOfRangeError,
                      SizeUnreachableError)
 from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _covers,
-                      _is_lattice_stack, chain)
+                      _cycle_pair, _is_lattice_stack, chain)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -53,14 +53,9 @@ def is_lattice_relation(m):
     '''True when the bool matrix m is a lattice relation: a partial order in
     which every pair has a least upper and a greatest lower bound.  Shape,
     reflexivity and antisymmetry are checked here; the bound test rejects a
-    non-transitive m, as i <= j <= k without i <= k leaves no c with up(c)
-    equal to the common upper bounds of i and j.'''
+    non-transitive m, as in `Lattice`.'''
     return (len(m) > 0 and m.shape == (len(m),) * 2 and bool(m.diagonal().all())
-            and not _has_cycle(m) and bool(_is_lattice_stack(m[None])[0]))
-
-
-def _has_cycle(m):
-    return bool((m & m.T & ~np.eye(len(m), dtype=bool)).any())
+            and _cycle_pair(m) is None and bool(_is_lattice_stack(m[None])[0]))
 
 
 def free_pairs(m):
@@ -87,7 +82,7 @@ def augment(m, step):
         raise AugmentationError(f'step endpoints out of range: {step}')
     for a, b in pairs:
         m = _step_closures(m, [a], [b], node)[0]
-    if _has_cycle(m):
+    if _cycle_pair(m) is not None:
         raise AugmentationError(f'{step} creates a cycle')
     if not is_lattice_relation(m):
         raise AugmentationError(f'{step} does not yield a lattice relation')
@@ -185,8 +180,7 @@ def generate_all_lattices(n_max):
                 queue.append(m)
         by_size[size] = [found[key] for key in sorted(found)]
     return {
-        size: [Lattice(m, label=f'gen:{size}:{i}', check=False)    # tested when accepted
-               for i, m in enumerate(orders)]
+        size: [Lattice(m, label=f'gen:{size}:{i}') for i, m in enumerate(orders)]
         for size, orders in by_size.items()
     }
 
@@ -212,8 +206,8 @@ def random_lattice(n, seed=None):
         if not steps:
             break
         m = rng.choice(steps)[1]
-    # Every step was tested.  The copy lets go of the stack of closures m came from.
-    return Lattice(m.copy(), label=f'random:{n}', check=False)
+    # The copy lets go of the stack of closures m came from.
+    return Lattice(m.copy(), label=f'random:{n}')
 
 
 def _random_step(m, rng):
@@ -299,7 +293,7 @@ def _downset_lattice(masks):
     return Lattice(m[:, None] & ~m[None, :] == 0, label=f'downsets:{len(m)}',
                    join_table=np.searchsorted(m, m[:, None] | m[None, :]),
                    meet_table=np.searchsorted(m, m[:, None] & m[None, :]),
-                   distributive=True, modular=True, check=False)
+                   distributive=True, modular=True)
 
 
 @dataclass
@@ -332,7 +326,7 @@ def conjecture_search(n_max=6, budget=10 ** 8):
         raise BudgetExceededError(f'conjecture search capped at {CONJECTURE_CAP}')
     checked = 0
     for size in range(2, n_max + 1):
-        lats = ((pred, Lattice(_pred_to_leq(pred, size), check=False))
+        lats = ((pred, Lattice(_pred_to_leq(pred, size)))
                 for pred in _ut_lattice_preds(size))
         counts = {pred: count_join_endomorphisms(lat, budget)
                   for pred, lat in lats if lat.is_distributive()}
@@ -347,7 +341,7 @@ def conjecture_search(n_max=6, budget=10 ** 8):
                         for j in range(size)
                         for i in range(j)
                         if p2[j] >> i & 1 and not p1[j] >> i & 1)
-                    before, after = (Lattice(_pred_to_leq(p, size), check=False,
+                    before, after = (Lattice(_pred_to_leq(p, size),
                                              label=f'conjecture:{size}:{side}')
                                      for p, side in ((p1, 'before'), (p2, 'after')))
                     return ConjectureReport(

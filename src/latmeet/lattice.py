@@ -60,15 +60,15 @@ class LatticeBase:
 class Lattice(LatticeBase):
     '''Table-backed finite lattice.
 
-    Built from a reflexive order matrix `leq` (leq[a, b] means a <= b).
-    When `check` is true the order axioms are verified and the join/meet
-    tables are derived from the order, raising NotALatticeError with the
-    offending pair if some lub or glb is missing.  Builders with closed-form
-    tables pass them in and skip the generic derivation.
+    Built from an order matrix `leq` (leq[a, b] means a <= b).  Join/meet
+    tables passed in (by builders with closed forms) are trusted.  Derived
+    tables validate `leq`: NotALatticeError names the offending pair if it is
+    not reflexive and antisymmetric or some lub or glb is missing, which
+    also rejects a non-transitive order.
     '''
 
     def __init__(self, leq, label='lattice', join_table=None, meet_table=None,
-                 distributive=None, modular=None, check=True):
+                 distributive=None, modular=None):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise NotALatticeError('leq must be a square matrix')
@@ -76,20 +76,15 @@ class Lattice(LatticeBase):
         if n == 0:
             raise NotALatticeError('a lattice needs at least one element')
         self.label = label
-        if check:
-            _check_partial_order(leq)
         leq.flags.writeable = False
         self.leq = leq
         if join_table is None or meet_table is None:
+            _check_partial_order(leq)
             join_table, meet_table = _tables_from_leq(leq)
         self._join_table = np.ascontiguousarray(join_table, dtype=np.int32)
         self._meet_table = np.ascontiguousarray(meet_table, dtype=np.int32)
-        bottoms = np.flatnonzero(leq.all(axis=1))
-        tops = np.flatnonzero(leq.all(axis=0))
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise NotALatticeError('order has no unique bottom/top')
-        self.bottom = int(bottoms[0])
-        self.top = int(tops[0])
+        self.bottom = int(leq.all(axis=1).argmax())    # unique, as leq is a lattice order
+        self.top = int(leq.all(axis=0).argmax())
         self._distributive = distributive
         self._modular = modular
 
@@ -217,37 +212,37 @@ class Lattice(LatticeBase):
     # -- identities ------------------------------------------------------------
 
     def is_distributive(self):
+        '''Whether x -> |J(x)|, the number of join-irreducibles below x, is a
+        valuation: as J(x meet y) = J(x) & J(y), exactly when every irreducible
+        is join-prime (Davey & Priestley, ch. 5).'''
         if self._distributive is None:
-            self._distributive = self._scan_distributive() is None
+            js = np.array(self.join_irreducibles, dtype=np.intp)
+            self._distributive = self._is_valuation(self.leq[js].sum(axis=0))
         return self._distributive
 
     def is_modular(self):
+        '''Whether the lattice is distributive or its rank (longest chain from
+        bottom) is a valuation: a lattice is modular exactly when it has a
+        strictly monotone valuation, and then its rank is one (Birkhoff).'''
         if self._modular is None:
-            self._modular = self._scan_modular() is None
+            self._modular = self.is_distributive()
+            if not self._modular:
+                rank = np.zeros(self.n, dtype=np.intp)
+                for r, (es, _) in enumerate(self._join_schedule, 1):
+                    rank[es] = r
+                self._modular = self._is_valuation(rank)
         return self._modular
 
-    def _scan_distributive(self):
-        'First triple violating a join (b meet c) = (a join b) meet (a join c), else None.'
-        jt, mt = self._join_table, self._meet_table
-        for a in range(self.n):
-            lhs = jt[a][mt]
-            rhs = mt[np.ix_(jt[a], jt[a])]
-            if not np.array_equal(lhs, rhs):
-                b, c = np.argwhere(lhs != rhs)[0]
-                return a, int(b), int(c)
-        return None
-
-    def _scan_modular(self):
-        'First (a, b, c) with a <= b violating a join (c meet b) = (a join c) meet b.'
-        jt, mt = self._join_table, self._meet_table
-        for a in range(self.n):
-            for b in np.flatnonzero(self.leq[a]):
-                lhs = jt[a][mt[:, b]]
-                rhs = mt[jt[a], b]
-                if not np.array_equal(lhs, rhs):
-                    c = int(np.flatnonzero(lhs != rhs)[0])
-                    return a, int(b), c
-        return None
+    def _is_valuation(self, v):
+        'v[x] + v[y] == v[x join y] + v[x meet y] for all x, y; row blocks within CHUNK_BYTES.'
+        v = np.asarray(v, dtype=np.int32)
+        step = max(1, CHUNK_BYTES // (32 * self.n))
+        for r0 in range(0, self.n, step):
+            rows = slice(r0, r0 + step)
+            if not np.array_equal(v[rows, None] + v, v[self._join_table[rows]]
+                                  + v[self._meet_table[rows]]):
+                return False
+        return True
 
 
 class PowersetLattice(LatticeBase):
@@ -360,7 +355,7 @@ def chain(k, label=None):
         label=label if label is not None else f'chain:{k}',
         join_table=np.maximum.outer(r, r),
         meet_table=np.minimum.outer(r, r),
-        distributive=True, modular=True, check=False)
+        distributive=True, modular=True)
 
 
 def powerset(m):
@@ -382,23 +377,21 @@ def m_n(k, label=None):
     mt = np.where(comparable, np.minimum.outer(r, r), bot)
     return Lattice(leq, label=label if label is not None else f'mn:{k}',
                    join_table=jt, meet_table=mt,
-                   distributive=k <= 2, modular=True, check=False)
+                   distributive=k <= 2, modular=True)
 
 
 def from_cover_relation(n, edges, label='cover-relation'):
-    'Lattice from cover edges (a, b) meaning b covers a; validates everything.'
+    'Lattice from cover edges (a, b) meaning b covers a; validates everything, n first.'
+    if n < 1:
+        raise NotALatticeError(f'{label}: a lattice needs at least one element, got n={n}')
+    if n > TABLE_LIMIT:
+        raise BudgetExceededError(f'{label}: n={n} exceeds TABLE_LIMIT={TABLE_LIMIT}')
     rel = np.eye(n, dtype=bool)
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise NotALatticeError(f'bad cover edge ({a}, {b})', pair=(a, b))
         rel[a, b] = True
-    closed = _transitive_closure_matrix(rel)
-    bad = closed & closed.T & ~np.eye(n, dtype=bool)
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        raise NotALatticeError(f'cover edges create a cycle through {a} and {b}',
-                               pair=(int(a), int(b)))
-    return Lattice(closed, label=label, check=False)    # a closure, checked acyclic
+    return Lattice(_transitive_closure_matrix(rel), label=label)
 
 
 def product(a, b, label=None):
@@ -421,7 +414,7 @@ def product(a, b, label=None):
                    label=label if label is not None else f'product({a.label},{b.label})',
                    join_table=table(a.join_table, b.join_table),
                    meet_table=table(a.meet_table, b.meet_table),
-                   distributive=dist, modular=mod, check=False)
+                   distributive=dist, modular=mod)
 
 
 def from_leq(leq, label='lattice'):
@@ -463,13 +456,22 @@ def _build_atom(part):
 def read_cover_file(fh, label='cover-file'):
     '''Parse the cover-relation format: first line n, then "a b" edge lines.
 
-    "#" starts a comment; blank lines are ignored.
+    "#" starts a comment; blank lines are ignored; a malformed line is a ValueError.
     '''
-    lines = [line for line in (raw.split('#', 1)[0].strip() for raw in fh) if line]
-    if not lines:
+    n, edges = None, []
+    for lineno, raw in enumerate(fh, 1):
+        fields = raw.split('#', 1)[0].split()
+        try:
+            if fields and n is None:
+                (n,) = map(int, fields)
+            elif fields:
+                a, b = map(int, fields)
+                edges.append((a, b))
+        except ValueError:
+            want = 'the element count n' if n is None else 'an edge "a b"'
+            raise ValueError(f'{label}: line {lineno} is not {want}: {raw.strip()!r}') from None
+    if n is None:
         raise NotALatticeError('empty cover-relation file')
-    n = int(lines[0])
-    edges = [(int(a), int(b)) for a, b in (line.split() for line in lines[1:])]
     return from_cover_relation(n, edges, label=label)
 
 
@@ -486,21 +488,24 @@ def write_cover_file(fh, lattice, comment=None):
 
 
 def _check_partial_order(leq):
-    n = leq.shape[0]
+    '''Reflexive and antisymmetric; the lub/glb test rejects the rest: if i <= j <= k but not
+    i <= k, the lub of i and j could only be j, but k is above j and not above i.'''
     if not leq.diagonal().all():
         raise NotALatticeError('order is not reflexive')
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        a, b = np.argwhere(sym)[0]
-        raise NotALatticeError(f'order is not antisymmetric at ({a}, {b})',
-                               pair=(int(a), int(b)))
-    if (_bool_product(leq, leq) & ~leq).any():
-        raise NotALatticeError('order is not transitive')
+    if (pair := _cycle_pair(leq)) is not None:
+        raise NotALatticeError(f'order is not antisymmetric at {pair}', pair=pair)
+
+
+def _cycle_pair(m):
+    'The first pair (a, b), a != b, row-major, with a <= b <= a in m, else None.'
+    bad = np.argwhere(m & m.T & ~np.eye(len(m), dtype=bool))
+    return tuple(bad[0].tolist()) if len(bad) else None
 
 
 def _tables_from_leq(leq):
-    '''Join/meet tables of a transitive order; NotALatticeError names the first
-    pair (i <= j, row-major) without a least upper, else greatest lower, bound.'''
+    '''Join/meet tables of a reflexive, antisymmetric order; NotALatticeError
+    names the first pair (i <= j, row-major) without a least upper, else
+    greatest lower, bound, which a non-transitive order has.'''
     n = leq.shape[0]
     jt, mt = np.empty((2, n, n), dtype=np.int32)
     for r0, (lub,), (glb,) in _bound_blocks(leq[None]):

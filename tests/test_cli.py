@@ -384,6 +384,20 @@ def test_meet_refusal_on_non_modular_lattice_is_pinned(capsys, tmp_path):
         == (1, '', f'error: gmeet+mod requires a modular lattice; {spec} is not\n')
 
 
+@pytest.mark.parametrize('text, message', [
+    ('1000000\n', '{spec}: n=1000000 exceeds TABLE_LIMIT=4096'),
+    ('-2\n', '{spec}: a lattice needs at least one element, got n=-2'),
+    ('x\n', "{spec}: line 1 is not the element count n: 'x'"),
+    ('# a comment\n3\n0 1\n0 1 2\n', """{spec}: line 4 is not an edge "a b": '0 1 2'"""),
+], ids=['oversized', 'negative', 'bad-header', 'bad-edge'])
+def test_cover_file_refusals_are_pinned(capsys, tmp_path, text, message):
+    path = tmp_path / 'bad.txt'
+    path.write_text(text)
+    spec = f'file:{path}'
+    assert run(capsys, 'meet', '--lattice', spec, '--random', '1') \
+        == (1, '', f'error: {message.format(spec=spec)}\n')
+
+
 def test_bench_skip_notes_are_pinned(capsys):
     rc, out, err = run(capsys, 'bench', '--families', 'mn', '--sizes', '5',
                        '--algs', 'dmeet+,gmeet+mod,brute')

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import glb_from_order, lub_from_order, modular7, n5
+from conftest import glb_from_order, lub_from_order, modular7, n5, small_corpus
 from latmeet import lattice
 from latmeet.errors import (BudgetExceededError, NotALatticeError,
                             NotDistributiveError)
@@ -127,6 +127,15 @@ def test_height_known_values():
     assert m_n(4).height == 2
 
 
+def _unhinted(lat):
+    'lat rebuilt from its order alone, so its class values are computed.'
+    return Lattice(lat.leq, label=f'unhinted {lat.label}')
+
+
+@pytest.mark.parametrize('corpus_lattice', small_corpus() + [
+    _unhinted(lat) for lats in generate_all_lattices(7).values() for lat in lats] + [
+    _unhinted(build('mn:3*chain:2')), _unhinted(product(n5(), chain(2)))],
+    ids=lambda lat: lat.label)
 def test_distributive_modular_flags(corpus_lattice):
     lat = corpus_lattice
     assert lat.is_distributive() == _distributive_scan(lat)
@@ -221,6 +230,13 @@ def test_from_leq_validation():
     no_meet = np.eye(2, dtype=bool)
     with pytest.raises(NotALatticeError):
         from_leq(no_meet)
+    not_transitive = np.triu(np.ones((4, 4), dtype=bool))
+    not_transitive[0, 2] = False        # 0 <= 1 <= 2 without 0 <= 2
+    with pytest.raises(NotALatticeError, match='no least upper bound'):
+        from_leq(not_transitive)
+    with pytest.raises(NotALatticeError) as cycle:
+        from_cover_relation(3, [(0, 1), (1, 2), (2, 0)])
+    assert cycle.value.pair is not None
 
 
 def test_build_spec_strings():

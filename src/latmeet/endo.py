@@ -16,8 +16,8 @@ from .errors import BudgetExceededError, EmptySetError, RetryExhaustedError
 
 ENUM_BUDGET = 10 ** 8
 RETRY_CAP = 10 ** 4
-# Rejection sampling tests at most this many rows * n^2 join-table entries
-# per numpy batch.
+# Rejection sampling reads at most this many join-table entries (rows times
+# the entries its membership test reads per row) per numpy batch.
 BATCH_ENTRIES = 1 << 16
 
 
@@ -68,10 +68,36 @@ def is_join_endomorphism(f):
 
 def _joins_preserved(lattice, rows):
     '''Per row of a (B, n) array of values: does the row fix bottom and
-    preserve every binary join?  Table-backed lattices only.'''
-    jt = lattice.join_table
-    ok = rows[:, lattice.bottom] == lattice.bottom
-    return ok & (rows[:, jt] == jt[rows[:, :, None], rows[:, None, :]]).all(axis=(1, 2))
+    preserve every binary join?'''
+    return _join_test(lattice)[0](rows)
+
+
+def _join_test(lattice):
+    '''(test, entries): the row test of _joins_preserved, set up once, and
+    the most join-table entries it reads per row.  Joins are checked on pairs
+    u < v: on a modular lattice a bottom-fixing map preserves every join once
+    it preserves the joins within each cover set, the lower covers of w plus
+    w (the lemma behind gmeet+mod), so only those pairs are checked;
+    elsewhere all are.  Pairs go in chunks of growing size and a row is
+    dropped at its first failing chunk, so random rows, which mostly fail
+    early, cost a few chunks each.'''
+    from .glb import ALL_PAIRS, COVER_PAIRS, _pair_universe
+    bottom = lattice.bottom
+    u, v = _pair_universe(lattice, COVER_PAIRS if lattice.is_modular() else ALL_PAIRS)
+    w = lattice.join_many(u, v)
+
+    def test(rows):
+        keep = np.flatnonzero(rows[:, bottom] == bottom)
+        lo, step = 0, 32
+        while keep.size and lo < len(w):
+            sub, hi = rows[keep], lo + step
+            keep = keep[(sub[:, w[lo:hi]] == lattice.join_many(sub[:, u[lo:hi]],
+                                                                sub[:, v[lo:hi]])).all(axis=1)]
+            lo, step = hi, 4 * step
+        ok = np.zeros(len(rows), dtype=bool)
+        ok[keep] = True
+        return ok
+    return test, max(1, len(w))
 
 
 def pointwise_leq(f, g):
@@ -153,27 +179,30 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
 
     Draws independent uniform values on the join-irreducibles and extends
     them by joins in vector passes (`extend_by_joins`); on distributive
-    lattices every extension is valid.  Elsewhere the
-    extensions are rejection-tested in numpy batches of growing size (1, 4,
-    16, ... rows, capped at BATCH_ENTRIES table entries) and the first valid
-    draw is returned; after `retry_cap` failures the last draw is repaired by
-    gmeet's rescan-and-repair loop, which always ends at a join-endomorphism.
-    The batches consume the random stream exactly as one draw at a time would,
-    so the output for a given seed does not depend on the batching.  The
-    resulting distribution over E(L) is NOT uniform in either case.
+    lattices every extension is valid.  Elsewhere the extensions are
+    rejection-tested in numpy batches of growing size (1, 4, 16, ... rows,
+    capped at BATCH_ENTRIES join-table entries read by the membership test,
+    which on a modular lattice reads only the cover pairs) and the first
+    valid draw is returned; after `retry_cap` failures the last draw is
+    repaired by gmeet's rescan-and-repair loop, which always ends at a
+    join-endomorphism.  Each batch's values come from one `_randrange_batch`
+    call, which consumes the random stream exactly as one `randrange` call
+    per value would, so the output for a given seed does not depend on the
+    batching.  The resulting distribution over E(L) is NOT uniform in either
+    case.
     '''
     rng = random.Random(seed)
-    jirr, n = lattice.join_irreducibles, lattice.n
+    k, n = len(lattice.join_irreducibles), lattice.n
     if lattice.is_distributive():
-        return Endofunction(lattice, lattice.extend_by_joins([rng.randrange(n) for _ in jirr]))
+        return Endofunction(lattice, lattice.extend_by_joins(_randrange_batch(rng, n, k)))
+    test, entries = _join_test(lattice)
     draws = max(1, retry_cap)
-    max_rows = max(1, BATCH_ENTRIES // (n * n))
+    max_rows = max(1, BATCH_ENTRIES // entries)
     size, done = 1, 0
     while done < draws:
         b = min(size, max_rows, draws - done)
-        g = [rng.randrange(n) for _ in range(b * len(jirr))]
-        rows = lattice.extend_by_joins(np.reshape(g, (b, len(jirr))))
-        hit = np.flatnonzero(_joins_preserved(lattice, rows))
+        rows = lattice.extend_by_joins(_randrange_batch(rng, n, b * k).reshape(b, k))
+        hit = np.flatnonzero(test(rows))
         if hit.size:
             return Endofunction(lattice, rows[hit[0]])
         done += b
@@ -183,6 +212,25 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
         return gmeet(lattice, [Endofunction(lattice, rows[-1])]).endofunction
     raise RetryExhaustedError(
         f'{lattice.label}: no join-endomorphism found in {retry_cap} draws')
+
+
+def _randrange_batch(rng, n, count):
+    '''[rng.randrange(n) for _ in range(count)] as an int64 array, leaving
+    rng in the same state.  CPython's randrange(n) takes one 32-bit word per
+    try and keeps its top n.bit_length() bits if they are below n.  Each
+    round draws the words for the values still missing in one getrandbits
+    call (least significant word first), so no round takes a word the single
+    calls would not.'''
+    if not 1 <= n < 2 ** 32:
+        raise ValueError(f'randrange batches need 1 <= n < 2**32, got n={n}')
+    bits = n.bit_length()
+    out = [np.zeros(0, np.uint32)]
+    while count:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, 'little'),
+                              '<u4') >> (32 - bits)
+        out.append(words[words < n])
+        count -= len(out[-1])
+    return np.concatenate(out).astype(np.int64)
 
 
 # -- text format -----------------------------------------------------------------

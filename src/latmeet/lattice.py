@@ -9,6 +9,7 @@ Instances are immutable once built; array operations (`join_many` and kin,
 '''
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property, reduce
 
 import numpy as np
@@ -28,14 +29,6 @@ class LatticeBase:
     bottom: int
     top: int
     label: str
-
-    def cover_set(self, a):
-        'Elements covered by a, plus a itself.'
-        return self.covers_of(a) + (a,)
-
-    def jdown(self, c):
-        'Join-irreducibles below (or equal to) c.'
-        return tuple(j for j in self.join_irreducibles if self.le(j, c))
 
     def le_many(self, a, b):
         'Elementwise a <= b, as a meet b == a.'
@@ -62,9 +55,9 @@ class Lattice(LatticeBase):
 
     Built from an order matrix `leq` (leq[a, b] means a <= b).  Join/meet
     tables passed in (by builders with closed forms) are trusted.  Derived
-    tables validate `leq`: NotALatticeError names the offending pair if it is
-    not reflexive and antisymmetric or some lub or glb is missing, which
-    also rejects a non-transitive order.
+    tables validate `leq`: NotALatticeError names the label and the offending
+    pair if it is not reflexive and antisymmetric or some lub or glb is
+    missing, which also rejects a non-transitive order.
     '''
 
     def __init__(self, leq, label='lattice', join_table=None, meet_table=None,
@@ -79,8 +72,9 @@ class Lattice(LatticeBase):
         leq.flags.writeable = False
         self.leq = leq
         if join_table is None or meet_table is None:
-            _check_partial_order(leq)
-            join_table, meet_table = _tables_from_leq(leq)
+            with _naming(label):
+                _check_partial_order(leq)
+                join_table, meet_table = _tables_from_leq(leq)
         self._join_table = np.ascontiguousarray(join_table, dtype=np.int32)
         self._meet_table = np.ascontiguousarray(meet_table, dtype=np.int32)
         self.bottom = int(leq.all(axis=1).argmax())    # unique, as leq is a lattice order
@@ -389,9 +383,11 @@ def from_cover_relation(n, edges, label='cover-relation'):
     rel = np.eye(n, dtype=bool)
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise NotALatticeError(f'bad cover edge ({a}, {b})', pair=(a, b))
+            raise NotALatticeError(f'{label}: bad cover edge ({a}, {b})', pair=(a, b))
         rel[a, b] = True
-    return Lattice(_transitive_closure_matrix(rel), label=label)
+    with _naming(label):
+        leq = _transitive_closure_matrix(rel)
+    return Lattice(leq, label=label)
 
 
 def product(a, b, label=None):
@@ -471,7 +467,7 @@ def read_cover_file(fh, label='cover-file'):
             want = 'the element count n' if n is None else 'an edge "a b"'
             raise ValueError(f'{label}: line {lineno} is not {want}: {raw.strip()!r}') from None
     if n is None:
-        raise NotALatticeError('empty cover-relation file')
+        raise NotALatticeError(f'{label}: empty cover-relation file')
     return from_cover_relation(n, edges, label=label)
 
 
@@ -485,6 +481,15 @@ def write_cover_file(fh, lattice, comment=None):
 
 
 # -- internals ---------------------------------------------------------------------
+
+
+@contextmanager
+def _naming(label):
+    'Prefix the message of a NotALatticeError raised inside with the input label.'
+    try:
+        yield
+    except NotALatticeError as exc:
+        raise NotALatticeError(f'{label}: {exc}', pair=exc.pair) from None
 
 
 def _check_partial_order(leq):
@@ -585,9 +590,33 @@ def _covers(leq):
 
 
 def _transitive_closure_matrix(rel):
+    '''The transitive closure of the bool relation rel, by one OR pass over
+    its rows in reverse topological order (Kahn): each row takes in the
+    already closed rows of its successors.  A cycle has no such order;
+    NotALatticeError then names the two smallest elements of one.'''
+    n = len(rel)
+    off = rel & ~np.eye(n, dtype=bool)
+    src, dst = np.nonzero(off)
+    succ = np.split(dst, np.cumsum(np.bincount(src, minlength=n))[:-1])
+    indeg = off.sum(axis=0).tolist()
+    order = [a for a in range(n) if indeg[a] == 0]
+    for a in order:                     # grows while it is read
+        for b in succ[a].tolist():
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                order.append(b)
+    if len(order) < n:
+        # Each element left has a predecessor left, so walking back meets a cycle.
+        left = np.ones(n, dtype=bool)
+        left[order] = False
+        walk, a = [], int(left.argmax())
+        while a not in walk:
+            walk.append(a)
+            a = int((off[:, a] & left).argmax())
+        pair = tuple(sorted(walk[walk.index(a):])[:2])
+        raise NotALatticeError(f'order is not antisymmetric at {pair}', pair=pair)
     closed = rel.copy()
-    while True:
-        nxt = closed | _bool_product(closed, closed)
-        if np.array_equal(nxt, closed):
-            return nxt
-        closed = nxt
+    for a in reversed(order):
+        if len(succ[a]):
+            closed[a] |= closed[succ[a]].any(axis=0)
+    return closed

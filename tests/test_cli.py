@@ -389,7 +389,10 @@ def test_meet_refusal_on_non_modular_lattice_is_pinned(capsys, tmp_path):
     ('-2\n', '{spec}: a lattice needs at least one element, got n=-2'),
     ('x\n', "{spec}: line 1 is not the element count n: 'x'"),
     ('# a comment\n3\n0 1\n0 1 2\n', """{spec}: line 4 is not an edge "a b": '0 1 2'"""),
-], ids=['oversized', 'negative', 'bad-header', 'bad-edge'])
+    ('# only a comment\n', '{spec}: empty cover-relation file'),
+    ('3\n0 1\n1 2\n2 0\n', '{spec}: order is not antisymmetric at (0, 1)'),
+    ('4\n0 1\n0 2\n', '{spec}: elements 0 and 3 have no least upper bound'),
+], ids=['oversized', 'negative', 'bad-header', 'bad-edge', 'empty', 'cycle', 'no-lub'])
 def test_cover_file_refusals_are_pinned(capsys, tmp_path, text, message):
     path = tmp_path / 'bad.txt'
     path.write_text(text)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_POINTWISE_MEET,
                       is_join_endo_by_definition, join_endos_by_definition,
                       modular7, n5)
-from latmeet.endo import (Endofunction, _joins_preserved,
-                          count_join_endomorphisms,
+from latmeet.endo import (Endofunction, _joins_preserved, _randrange_batch,
+                          count_join_endomorphisms, enumerable,
                           enumerate_join_endomorphisms, format_endofunction,
                           is_join_endomorphism, parse_endofunction,
                           pointwise_join, pointwise_leq, pointwise_meet_many,
@@ -135,14 +135,14 @@ def test_random_endomorphism_property(seed):
 
 def scalar_draws(lat, seed, retry_cap):
     '''Reference for random_join_endomorphism: one draw at a time, each
-    extended by joins over jdown and tested by the definition.  Returns
+    extended by joins over the irreducibles below and tested by the definition.  Returns
     (values, accepted); on exhaustion the values are the last draw.'''
     rng = random.Random(seed)
     jirr = lat.join_irreducibles
     vals = None
     for _ in range(max(1, retry_cap)):
         g = {j: rng.randrange(lat.n) for j in jirr}
-        vals = [reduce(lat.join, [g[j] for j in lat.jdown(e)], lat.bottom)
+        vals = [reduce(lat.join, [g[j] for j in jirr if lat.le(j, e)], lat.bottom)
                 for e in range(lat.n)]
         if is_join_endo_by_definition(lat, vals):
             return tuple(vals), True
@@ -300,15 +300,54 @@ def test_cap_inside_a_batch_repairs_the_cap_th_draw():
 
 
 def test_joins_preserved_rows_match_definition():
+    # The modular lattices among these take the cover-pair test.
     rng = np.random.default_rng(5)
-    for lat in (n5(), modular7(), m_n(3), product(chain(2), m_n(3))):
-        endos = [f.values for f in itertools.islice(enumerate_join_endomorphisms(lat), 100)]
+    for lat in (n5(), modular7(), m_n(3), product(chain(2), m_n(3)),
+                build('mn:4*chain:3'), build('mn:14*chain:2')):
+        if enumerable(lat):
+            endos = [f.values for f in itertools.islice(enumerate_join_endomorphisms(lat), 100)]
+        else:
+            endos = [random_join_endomorphism(lat, seed=s).values for s in range(20)]
         # Constant maps preserve joins but move bottom unless they are bottom.
         constants = np.repeat(np.arange(lat.n)[:, None], lat.n, axis=1)
-        rows = np.vstack([endos, constants, rng.integers(0, lat.n, size=(200, lat.n))])
+        # Extensions by joins are the rows the sampler tests; a changed value
+        # in an endomorphism is the near miss.
+        extended = lat.extend_by_joins(
+            rng.integers(0, lat.n, size=(100, len(lat.join_irreducibles))))
+        near = np.array(endos)[rng.integers(0, len(endos), 100)]
+        near[np.arange(100), rng.integers(0, lat.n, 100)] = rng.integers(0, lat.n, 100)
+        rows = np.vstack([endos, constants, extended, near,
+                          rng.integers(0, lat.n, size=(200, lat.n))])
         rows[-100:, lat.bottom] = lat.bottom
         want = [is_join_endo_by_definition(lat, tuple(r)) for r in rows]
-        assert _joins_preserved(lat, rows).tolist() == want
+        assert _joins_preserved(lat, rows).tolist() == want, lat.label
+        assert True in want and False in want
+
+
+@pytest.mark.parametrize('n', [1, 2, 3, 31, 32, 33, 1000, 4096])
+def test_randrange_batch_matches_the_scalar_loop(n):
+    for count in (0, 1, 7, 10 ** 4):
+        for seed in (0, 1, 12345):
+            batched, scalar = random.Random(seed), random.Random(seed)
+            got = _randrange_batch(batched, n, count)
+            assert got.tolist() == [scalar.randrange(n) for _ in range(count)]
+            assert batched.getstate() == scalar.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=2 ** 64))
+def test_randrange_batch_matches_the_scalar_loop_anywhere(n, count, seed):
+    batched, scalar = random.Random(seed), random.Random(seed)
+    assert _randrange_batch(batched, n, count).tolist() == \
+        [scalar.randrange(n) for _ in range(count)]
+    assert batched.getstate() == scalar.getstate()
+
+
+def test_randrange_batch_refuses_what_one_word_cannot_draw():
+    for n in (0, -1, 2 ** 32, 2 ** 40):
+        with pytest.raises(ValueError, match=f'got n={n}'):
+            _randrange_batch(random.Random(0), n, 3)
 
 
 def test_is_join_endomorphism_agrees_with_joins_preserved_on_distributive_lattices():

@@ -180,7 +180,7 @@ def test_cover_pair_universe_matches_the_cover_set_comprehension():
     # small_corpus holds powerset:0 and chain:1, whose universes are empty.
     for lat in small_corpus() + _unsorted_cover_lattices():
         want = [(a, b) if a < b else (b, a) for w in range(lat.n)
-                for a, b in combinations(lat.cover_set(w), 2)]
+                for a, b in combinations(lat.covers_of(w) + (w,), 2)]
         u, v = _pair_universe(lat, COVER_PAIRS)
         assert sorted(zip(u.tolist(), v.tolist())) == sorted(want), lat.label
 

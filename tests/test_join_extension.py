@@ -1,7 +1,7 @@
 '''The vector join-extension and the code that runs on it.
 
 `extend_by_joins` is checked against its definition, the join of the given
-values over jdown(e), and `is_join_endomorphism` against the pairwise
+values at the join-irreducibles below e, and `is_join_endomorphism` against the pairwise
 definition.  The sha256 goldens of `random_join_endomorphism` were recorded
 with the element-by-element extension that the vector passes replaced.
 '''
@@ -45,7 +45,7 @@ def other_lattices():
 
 def extension_by_definition(lat, jvals):
     index = {j: k for k, j in enumerate(lat.join_irreducibles)}
-    return [reduce(lat.join, [jvals[index[j]] for j in lat.jdown(e)], lat.bottom)
+    return [reduce(lat.join, [jvals[index[j]] for j in index if lat.le(j, e)], lat.bottom)
             for e in range(lat.n)]
 
 

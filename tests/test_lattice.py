@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -100,8 +101,9 @@ def test_down_up_sets_and_jdown(corpus_lattice):
     for c in range(lat.n):
         assert lat.up_set(c) == tuple(
             a for a in range(lat.n) if lat.le(c, a))
-        assert lat.jdown(c) == tuple(
-            a for a in lat.join_irreducibles if lat.le(a, c))
+        # Every element is the join of the join-irreducibles below it.
+        assert reduce(lat.join, [j for j in lat.join_irreducibles if lat.le(j, c)],
+                      lat.bottom) == c
 
 
 def test_linear_extension_and_height(corpus_lattice):

@@ -8,6 +8,7 @@ enumeration and seeded random sampling, plus the one-line text format.
 from __future__ import annotations
 
 import random
+import weakref
 from functools import cached_property, reduce
 
 import numpy as np
@@ -68,36 +69,35 @@ def is_join_endomorphism(f):
 
 def _joins_preserved(lattice, rows):
     '''Per row of a (B, n) array of values: does the row fix bottom and
-    preserve every binary join?'''
-    return _join_test(lattice)[0](rows)
+    preserve every binary join?  The first 32 pairs are checked on every row
+    and the rest only on the rows that pass them: random rows mostly fail
+    early.'''
+    u, v, w = _join_pairs(lattice)
+
+    def holds(rows, part):
+        joins = lattice.join_many(rows[:, u[part]], rows[:, v[part]])
+        return (rows[:, w[part]] == joins).all(axis=1)
+    ok = (rows[:, lattice.bottom] == lattice.bottom) & holds(rows, slice(None, 32))
+    keep = np.flatnonzero(ok)
+    ok[keep] = holds(rows[keep], slice(32, None))
+    return ok
 
 
-def _join_test(lattice):
-    '''(test, entries): the row test of _joins_preserved, set up once, and
-    the most join-table entries it reads per row.  Joins are checked on pairs
-    u < v: on a modular lattice a bottom-fixing map preserves every join once
-    it preserves the joins within each cover set, the lower covers of w plus
-    w (the lemma behind gmeet+mod), so only those pairs are checked;
-    elsewhere all are.  Pairs go in chunks of growing size and a row is
-    dropped at its first failing chunk, so random rows, which mostly fail
-    early, cost a few chunks each.'''
-    from .glb import ALL_PAIRS, COVER_PAIRS, _pair_universe
-    bottom = lattice.bottom
-    u, v = _pair_universe(lattice, COVER_PAIRS if lattice.is_modular() else ALL_PAIRS)
-    w = lattice.join_many(u, v)
+_JOIN_PAIRS = weakref.WeakKeyDictionary()
 
-    def test(rows):
-        keep = np.flatnonzero(rows[:, bottom] == bottom)
-        lo, step = 0, 32
-        while keep.size and lo < len(w):
-            sub, hi = rows[keep], lo + step
-            keep = keep[(sub[:, w[lo:hi]] == lattice.join_many(sub[:, u[lo:hi]],
-                                                                sub[:, v[lo:hi]])).all(axis=1)]
-            lo, step = hi, 4 * step
-        ok = np.zeros(len(rows), dtype=bool)
-        ok[keep] = True
-        return ok
-    return test, max(1, len(w))
+
+def _join_pairs(lattice):
+    '''(u, v, u join v) over the pairs u < v whose joins _joins_preserved
+    checks, built once per lattice.  On a modular lattice a bottom-fixing map
+    preserves every join once it preserves the joins within each cover set,
+    the lower covers of w plus w (the lemma behind gmeet+mod), so only those
+    pairs are listed; elsewhere all are.'''
+    pairs = _JOIN_PAIRS.get(lattice)
+    if pairs is None:
+        from .glb import ALL_PAIRS, COVER_PAIRS, _pair_universe
+        u, v = _pair_universe(lattice, COVER_PAIRS if lattice.is_modular() else ALL_PAIRS)
+        pairs = _JOIN_PAIRS[lattice] = (u, v, lattice.join_many(u, v))
+    return pairs
 
 
 def pointwise_leq(f, g):
@@ -195,14 +195,13 @@ def random_join_endomorphism(lattice, seed=None, retry_cap=RETRY_CAP, repair=Tru
     k, n = len(lattice.join_irreducibles), lattice.n
     if lattice.is_distributive():
         return Endofunction(lattice, lattice.extend_by_joins(_randrange_batch(rng, n, k)))
-    test, entries = _join_test(lattice)
     draws = max(1, retry_cap)
-    max_rows = max(1, BATCH_ENTRIES // entries)
+    max_rows = max(1, BATCH_ENTRIES // max(1, len(_join_pairs(lattice)[2])))
     size, done = 1, 0
     while done < draws:
         b = min(size, max_rows, draws - done)
         rows = lattice.extend_by_joins(_randrange_batch(rng, n, b * k).reshape(b, k))
-        hit = np.flatnonzero(test(rows))
+        hit = np.flatnonzero(_joins_preserved(lattice, rows))
         if hit.size:
             return Endofunction(lattice, rows[hit[0]])
         done += b

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -12,14 +14,14 @@ from hypothesis import strategies as st
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_POINTWISE_MEET,
                       is_join_endo_by_definition, join_endos_by_definition,
                       modular7, n5)
-from latmeet.endo import (Endofunction, _joins_preserved, _randrange_batch,
+from latmeet.endo import (Endofunction, _join_pairs, _joins_preserved, _randrange_batch,
                           count_join_endomorphisms, enumerable,
                           enumerate_join_endomorphisms, format_endofunction,
                           is_join_endomorphism, parse_endofunction,
                           pointwise_join, pointwise_leq, pointwise_meet_many,
                           random_join_endomorphism)
 from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
-from latmeet.glb import gmeet
+from latmeet.glb import ALL_PAIRS, COVER_PAIRS, _pair_count, gmeet
 from latmeet.latgen import random_distributive_lattice, random_lattice
 from latmeet.lattice import build, chain, m_n, powerset, product
 
@@ -322,6 +324,19 @@ def test_joins_preserved_rows_match_definition():
         want = [is_join_endo_by_definition(lat, tuple(r)) for r in rows]
         assert _joins_preserved(lat, rows).tolist() == want, lat.label
         assert True in want and False in want
+
+
+def test_join_pairs_are_the_cover_pairs_when_modular_and_live_with_the_lattice():
+    for spec, kind in (('mn:14*chain:2', COVER_PAIRS), ('n5', ALL_PAIRS)):
+        lat = n5() if spec == 'n5' else build(spec)
+        u, v, w = _join_pairs(lat)
+        assert len(w) == _pair_count(lat, kind)
+        assert w.tolist() == [lat.join(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert _join_pairs(lat)[2] is w
+        ref = weakref.ref(lat)
+        del lat
+        gc.collect()
+        assert ref() is None
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 31, 32, 33, 1000, 4096])

@@ -222,14 +222,15 @@ def _randrange_batch(rng, n, count):
     calls would not.'''
     if not 1 <= n < 2 ** 32:
         raise ValueError(f'randrange batches need 1 <= n < 2**32, got n={n}')
-    bits = n.bit_length()
-    out = [np.zeros(0, np.uint32)]
-    while count:
-        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, 'little'),
-                              '<u4') >> (32 - bits)
-        out.append(words[words < n])
-        count -= len(out[-1])
-    return np.concatenate(out).astype(np.int64)
+    out, done = np.empty(count, dtype=np.int64), 0
+    while done < count:
+        need = count - done
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, 'little'),
+                              '<u4') >> (32 - n.bit_length())
+        words = words[words < n]
+        out[done:done + len(words)] = words
+        done += len(words)
+    return out
 
 
 # -- text format -----------------------------------------------------------------

@@ -10,13 +10,14 @@ import math
 import time
 from contextlib import contextmanager
 
+import numpy as np
 from conftest import (brute_of, is_join_endo_by_definition, join_endos_by_definition,
                       lattice_classes_by_brute_force, route_applies)
 from latmeet.counting import (construct_families, count_linear, count_mn,
                               count_non_reducing_mn, count_powerset,
                               laguerre_at_minus_one_times_factorial,
                               rook_poly_at_one)
-from latmeet.endo import (Endofunction, count_join_endomorphisms,
+from latmeet.endo import (Endofunction, _joins_preserved, count_join_endomorphisms,
                           enumerate_join_endomorphisms, random_join_endomorphism)
 from latmeet.glb import (brute_force_meet, dmeet_plus, gmeet, meet_algorithms,
                          verify_01_relations_preserving)
@@ -152,13 +153,14 @@ def test_08_modular_cover_test_equivalence(capsys):
         assert any(not lat.is_distributive() for lat in lats)
         for lat in lats:
             assert lat.n <= 5 and lat.is_modular()
-            for vals in itertools.product(range(lat.n), repeat=lat.n):
-                f = Endofunction(lat, vals)
-                predicted = (vals[lat.bottom] == lat.bottom
-                             and verify_01_relations_preserving(lat, f))
-                # is_join_endomorphism runs the same cover-pair test on these
-                # lattices, so the lemma is checked against the definition.
-                assert predicted == is_join_endo_by_definition(lat, vals), (lat.label, vals)
+            rows = np.array(list(itertools.product(range(lat.n), repeat=lat.n)))
+            # On a modular lattice _joins_preserved reads bottom and the
+            # cover-set pairs only, so the lemma is checked against the
+            # definition on every map.
+            for vals, covered in zip(map(tuple, rows.tolist()), _joins_preserved(lat, rows)):
+                want = is_join_endo_by_definition(lat, vals)
+                assert covered == want, (lat.label, vals)
+                assert verify_01_relations_preserving(lat, Endofunction(lat, vals)) == want
 
 
 def test_09_generation_matches_oracle(capsys):

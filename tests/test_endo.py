@@ -21,7 +21,7 @@ from latmeet.endo import (Endofunction, _join_pairs, _joins_preserved, _randrang
                           pointwise_join, pointwise_leq, pointwise_meet_many,
                           random_join_endomorphism)
 from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
-from latmeet.glb import ALL_PAIRS, COVER_PAIRS, _pair_count, gmeet
+from latmeet.glb import ALL_PAIRS, COVER_PAIRS, _pair_count, _pair_universe, gmeet
 from latmeet.latgen import random_distributive_lattice, random_lattice
 from latmeet.lattice import build, chain, m_n, powerset, product
 
@@ -330,7 +330,14 @@ def test_join_pairs_are_the_cover_pairs_when_modular_and_live_with_the_lattice()
     for spec, kind in (('mn:14*chain:2', COVER_PAIRS), ('n5', ALL_PAIRS)):
         lat = n5() if spec == 'n5' else build(spec)
         u, v, w = _join_pairs(lat)
-        assert len(w) == _pair_count(lat, kind)
+        # Pairs with bottom are left to the bottom check; incomparable
+        # pairs come first.
+        a, b = _pair_universe(lat, kind)
+        keep = (a != lat.bottom) & (b != lat.bottom)
+        assert sorted(zip(u.tolist(), v.tolist())) == sorted(zip(a[keep].tolist(), b[keep].tolist()))
+        assert len(w) < _pair_count(lat, kind)
+        comparable = ((w == u) | (w == v)).tolist()
+        assert comparable == sorted(comparable) and False in comparable
         assert w.tolist() == [lat.join(a, b) for a, b in zip(u.tolist(), v.tolist())]
         assert _join_pairs(lat)[2] is w
         ref = weakref.ref(lat)

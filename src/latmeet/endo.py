@@ -69,20 +69,10 @@ def is_join_endomorphism(f):
 
 def _joins_preserved(lattice, rows):
     '''Per row of a (B, n) array of values: does the row fix bottom and
-    preserve every binary join?  The first n pairs, as many as a row has
-    values, are checked on every row and the rest only on the rows that pass
-    them.  A join-extension is monotone, so only incomparable pairs can fail
-    on the sampler's rows; they come first, and most failing rows are
-    rejected after n pairs.'''
+    preserve every binary join?'''
     u, v, w = _join_pairs(lattice)
-
-    def holds(rows, part):
-        joins = lattice.join_many(rows[:, u[part]], rows[:, v[part]])
-        return (rows[:, w[part]] == joins).all(axis=1)
-    ok = (rows[:, lattice.bottom] == lattice.bottom) & holds(rows, slice(None, lattice.n))
-    keep = np.flatnonzero(ok)
-    ok[keep] = holds(rows[keep], slice(lattice.n, None))
-    return ok
+    return ((rows[:, lattice.bottom] == lattice.bottom)
+            & (rows[:, w] == lattice.join_many(rows[:, u], rows[:, v])).all(axis=1))
 
 
 _JOIN_PAIRS = weakref.WeakKeyDictionary()
@@ -90,20 +80,18 @@ _JOIN_PAIRS = weakref.WeakKeyDictionary()
 
 def _join_pairs(lattice):
     '''(u, v, u join v) over the pairs u < v whose joins _joins_preserved
-    checks, incomparable pairs first, built once per lattice.  On a modular
-    lattice a bottom-fixing map preserves every join once it preserves the
-    joins within each cover set, the lower covers of w plus w (the lemma
-    behind gmeet+mod), so only those pairs are listed; elsewhere all are.
-    Pairs with bottom are left out: a bottom-fixing map preserves their joins.'''
+    checks, built once per lattice.  On a modular lattice a bottom-fixing map
+    preserves every join once it preserves the joins within each cover set,
+    the lower covers of w plus w (the lemma behind gmeet+mod), so only those
+    pairs are listed; elsewhere all are.  Pairs with bottom are left out: a
+    bottom-fixing map preserves their joins.'''
     pairs = _JOIN_PAIRS.get(lattice)
     if pairs is None:
         from .glb import ALL_PAIRS, COVER_PAIRS, _pair_universe
         u, v = _pair_universe(lattice, COVER_PAIRS if lattice.is_modular() else ALL_PAIRS)
         keep = (u != lattice.bottom) & (v != lattice.bottom)
         u, v = u[keep], v[keep]
-        w = lattice.join_many(u, v)
-        first = np.argsort((w == u) | (w == v), kind='stable')
-        pairs = _JOIN_PAIRS[lattice] = (u[first], v[first], w[first])
+        pairs = _JOIN_PAIRS[lattice] = (u, v, lattice.join_many(u, v))
     return pairs
 
 

@@ -340,6 +340,10 @@ def test_verify_01_relations_on_known_maps():
     assert verify_01_relations_preserving(lat, good)
     bad = Endofunction(lat, M3_POINTWISE_MEET)
     assert not verify_01_relations_preserving(lat, bad)
+    # On N5 this map fixes bottom and preserves the joins within every cover
+    # set, but f(1 join 2) = 4 while f(1) join f(2) = 3.
+    lat = n5()
+    assert not verify_01_relations_preserving(lat, Endofunction(lat, (0, 3, 3, 4, 4)))
 
 
 def test_a1_and_dmeet_agree_with_dmeet_plus(meet_cases):

@@ -142,14 +142,15 @@ def cmd_meet(args):
     if args.endo and args.random:
         print('error: give either --endo files or --random M, not both', file=sys.stderr)
         return 1
+    if not args.endo and args.random < 1:
+        print('error: no endofunctions given (use --endo or --random)', file=sys.stderr)
+        return 1
+    check_precondition(args.alg, lattice, args.budget)
     if args.random:
         fs = [random_join_endomorphism(lattice, seed=derive_seed(args.seed, 'endo', i))
               for i in range(args.random)]
     else:
         fs = [_load_endofunction(path, lattice) for path in args.endo]
-    if not fs:
-        print('error: no endofunctions given (use --endo or --random)', file=sys.stderr)
-        return 1
     result = meet_algorithms()[args.alg](lattice, fs)
     ops = result.op_counts
     lines = [format_endofunction(result.endofunction),
@@ -195,7 +196,7 @@ def cmd_bench(args):
     if unknown:
         print(f'error: unknown algorithms {unknown}', file=sys.stderr)
         return 1
-    lines = [BENCH_HEADER, BENCH_COLUMNS]
+    lines, budget = [BENCH_HEADER, BENCH_COLUMNS], min(args.budget, ENUM_CAP)
     for family in families:
         for size in sizes:
             for run in range(args.runs):
@@ -206,7 +207,7 @@ def cmd_bench(args):
                       for i in range(args.endos)]
                 for alg in algs:
                     try:
-                        check_precondition(alg, lattice, budget=ENUM_CAP)
+                        check_precondition(alg, lattice, budget)
                     except (BudgetExceededError, NotDistributiveError,
                             NotModularError):
                         print(f'note: {alg} skipped on {lattice.label} '

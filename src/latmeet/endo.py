@@ -17,6 +17,8 @@ from .errors import BudgetExceededError, EmptySetError, RetryExhaustedError
 
 ENUM_BUDGET = 10 ** 8
 RETRY_CAP = 10 ** 4
+ALL_PAIRS = 'all'
+COVER_PAIRS = 'covers'
 # Rejection sampling reads at most this many join-table entries (rows times
 # the entries its membership test reads per row) per numpy batch.
 BATCH_ENTRIES = 1 << 16
@@ -80,19 +82,49 @@ _JOIN_PAIRS = weakref.WeakKeyDictionary()
 
 def _join_pairs(lattice):
     '''(u, v, u join v) over the pairs u < v whose joins _joins_preserved
-    checks, built once per lattice.  On a modular lattice a bottom-fixing map
-    preserves every join once it preserves the joins within each cover set,
-    the lower covers of w plus w (the lemma behind gmeet+mod), so only those
-    pairs are listed; elsewhere all are.  Pairs with bottom are left out: a
-    bottom-fixing map preserves their joins.'''
+    checks, built once per lattice: the cover pairs on a modular lattice,
+    all pairs elsewhere (see _pair_universe).  Pairs with bottom are left
+    out: a bottom-fixing map preserves their joins.'''
     pairs = _JOIN_PAIRS.get(lattice)
     if pairs is None:
-        from .glb import ALL_PAIRS, COVER_PAIRS, _pair_universe
         u, v = _pair_universe(lattice, COVER_PAIRS if lattice.is_modular() else ALL_PAIRS)
         keep = (u != lattice.bottom) & (v != lattice.bottom)
         u, v = u[keep], v[keep]
         pairs = _JOIN_PAIRS[lattice] = (u, v, lattice.join_many(u, v))
     return pairs
+
+
+def _pair_count(lattice, kind):
+    'len(_pair_universe(lattice, kind)), worked out without building it.'
+    if kind == ALL_PAIRS:
+        return lattice.n * (lattice.n - 1) // 2
+    if kind == COVER_PAIRS:
+        k = np.bincount(lattice.lower_covers()[1], minlength=lattice.n)
+        return int((k * (k + 1) // 2).sum())
+    raise ValueError(f'unknown pair universe {kind!r}')
+
+
+def _pair_universe(lattice, kind):
+    '''The pairs u < v as int32 arrays (u, v): all, or those within a cover set (the
+    lower covers of w, plus w).  On a modular lattice a bottom-fixing map preserving
+    the latter's joins preserves all joins, so _joins_preserved and gmeet+mod check only them.'''
+    if kind == ALL_PAIRS:
+        u, v = np.triu_indices(lattice.n, 1)
+    elif kind == COVER_PAIRS:
+        # A pair within the cover set of w joins to w, so no pair lies in
+        # two cover sets and none is listed twice.  Besides the edges (lo, up)
+        # themselves, edge k pairs its lo with those of the cnt[k] edges
+        # after it in its group.
+        lo, up = lattice.lower_covers()
+        k = np.arange(len(up))
+        cnt = np.searchsorted(up, up, side='right') - k - 1
+        first = np.repeat(k, cnt)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        a, b = np.concatenate([lo[first], lo]), np.concatenate([lo[second], up])
+        u, v = np.minimum(a, b), np.maximum(a, b)
+    else:
+        raise ValueError(f'unknown pair universe {kind!r}')
+    return u.astype(np.int32), v.astype(np.int32)
 
 
 def pointwise_leq(f, g):
@@ -122,16 +154,20 @@ def enumerate_join_endomorphisms(lattice, budget=ENUM_BUDGET):
     candidate space is at most n^|J(L)|; refuses upfront when that exceeds
     the budget.  Non-modular lattices get a final validation pass.
     '''
-    jirr = lattice.join_irreducibles
-    if not enumerable(lattice, budget):
-        raise BudgetExceededError(
-            f'{lattice.label}: n^|J| = {lattice.n}^{len(jirr)} exceeds budget {budget}')
-    return _enumerate(lattice, set(jirr))
+    check_enumerable(lattice, budget)
+    return _enumerate(lattice, set(lattice.join_irreducibles))
 
 
 def enumerable(lattice, budget=ENUM_BUDGET):
     'True when the candidate space n^|J(L)| of the enumeration fits the budget.'
     return lattice.n ** len(lattice.join_irreducibles) <= budget
+
+
+def check_enumerable(lattice, budget=ENUM_BUDGET):
+    'Raise BudgetExceededError unless the enumeration fits the budget.'
+    if not enumerable(lattice, budget):
+        raise BudgetExceededError(f'{lattice.label}: n^|J| = {lattice.n}^'
+                                  f'{len(lattice.join_irreducibles)} exceeds budget {budget}')
 
 
 def _enumerate(lattice, jirr):

@@ -14,10 +14,11 @@ meet.  Seven routes compute it:
 
 a1/dmeet/dmeet_plus require a distributive lattice; gmeet_plus_modular is
 sound on modular lattices.  ROUTES is the one table of routes and the
-domain each requires; check_precondition raises the typed error for a
-lattice outside it.  Every algorithm reports how many binary lattice
-operations it performed and, for the iterative ones, how many times sigma
-strictly decreased at an element.  This module is the one home of that cost
+domain each requires.  Every route passes one gate, _prep: the domain
+(check_precondition), then S, then the budget of the pairs that the route's
+name fixes.  Every algorithm reports how many binary lattice operations it
+performed and, for the iterative ones, how many times sigma strictly
+decreased at an element.  This module is the one home of that cost
 model: each route calls the lattice backend directly and charges the paper's
 count next to the operation it charges; order tests are free.  a1, dmeet and
 gmeet run as numpy kernels over blocks of elements and charge in bulk
@@ -35,15 +36,15 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .endo import (ENUM_BUDGET, Endofunction, enumerate_join_endomorphisms,
+from .endo import (ALL_PAIRS, COVER_PAIRS, ENUM_BUDGET, Endofunction, _pair_count,
+                   _pair_universe, check_enumerable, enumerate_join_endomorphisms,
                    is_join_endomorphism, pointwise_leq, pointwise_meet_many)
 from .errors import (BudgetExceededError, EmptySetError, NotDistributiveError,
                      NotModularError)
 from .lattice import CHUNK_BYTES, PowersetLattice
 
-ALL_PAIRS = 'all'
-COVER_PAIRS = 'covers'
 MAX_PAIRS = 10 ** 7
+_ROUTE_PAIRS = {'gmeet': ALL_PAIRS, 'gmeet+': ALL_PAIRS, 'gmeet+mod': COVER_PAIRS}
 
 _SUP, _CON, _FAIL, _FLY = 0, 1, 2, 3
 
@@ -60,22 +61,24 @@ class MeetResult:
         return sum(self.op_counts.values())
 
 
-def _prep(lattice, fs, algorithm, pairs=None, max_pairs=MAX_PAIRS):
-    'Fresh op counts, after checking S and (given `pairs`) the pair budget.'
+def _prep(lattice, fs, algorithm, budget=ENUM_BUDGET, max_pairs=MAX_PAIRS):
+    '''The gate of every route: fresh op counts, after checking the domain (brute's
+    against `budget`), then S, then the count of the route's pairs against `max_pairs`.'''
+    check_precondition(algorithm, lattice, budget)
     if not fs:
         raise EmptySetError(f'{algorithm}: the family S must be nonempty')
     for f in fs:
         if len(f.array) != lattice.n:
             raise ValueError(f'{algorithm}: endofunction does not match {lattice.label}')
-    if pairs is not None and (count := _pair_count(lattice, pairs)) > max_pairs:
+    kind = _ROUTE_PAIRS.get(algorithm)
+    if kind is not None and (count := _pair_count(lattice, kind)) > max_pairs:
         raise BudgetExceededError(f'{algorithm}: {count} pairs exceed max_pairs={max_pairs}')
     return {'join': 0, 'meet': 0, 'subtraction': 0}
 
 
 def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
-    '''Join of every join-endomorphism below all of S.  Exponential; the oracle.
-    The enumeration itself refuses a space above the budget.'''
-    counts = _prep(lattice, fs, 'brute')
+    'Join of every join-endomorphism below all of S.  Exponential; the oracle.'
+    counts = _prep(lattice, fs, 'brute', budget)
     bound = pointwise_meet_many(fs)     # g <= every f in S iff g <= their pointwise meet
     vals = [lattice.bottom] * lattice.n
     for g in enumerate_join_endomorphisms(lattice, budget):
@@ -88,7 +91,6 @@ def brute_force_meet(lattice, fs, budget=ENUM_BUDGET):
 def a1_naive(lattice, fs):
     '''h(c) = meet of f(a) join g(b) over every pair with a join b >= c.  Each
     fold tabulates f(a) join g(b) and masks it by c <= a join b per block of c.'''
-    check_precondition('a1', lattice)
     counts, n, e = _prep(lattice, fs, 'a1'), lattice.n, np.arange(lattice.n)
     joins = lattice.join_many(e[:, None], e).ravel()
     h = fs[0]
@@ -104,7 +106,6 @@ def a1_naive(lattice, fs):
 def dmeet(lattice, fs):
     '''h(c) = meet of f(a) join g(c - a) over a <= c, using co-Heyting
     subtraction; each fold runs over the blocks of _down_blocks.'''
-    check_precondition('dmeet', lattice)
     counts, h = _prep(lattice, fs, 'dmeet'), fs[0]
     for g in fs[1:]:
         f = h.array
@@ -167,7 +168,6 @@ def dmeet_plus(lattice, fs):
     element (its value is the join at two covered elements).  The fold runs
     as vector passes and charges those counts in bulk.
     '''
-    check_precondition('dmeet+', lattice)
     counts = _prep(lattice, fs, 'dmeet+')
     jirr = list(lattice.join_irreducibles)
     out = fs[0]
@@ -188,7 +188,7 @@ def gmeet(lattice, fs, on_update=None, max_pairs=MAX_PAIRS):
     met with sigma(u join v).  `on_update` receives the sigma tuple after
     every update round.
     '''
-    counts = _prep(lattice, fs, 'gmeet', ALL_PAIRS, max_pairs)
+    counts = _prep(lattice, fs, 'gmeet', max_pairs=max_pairs)
     sigma = _pointwise_meet(lattice, counts, fs)
     reductions = 0
     while (hit := _first_violation(lattice, counts, sigma)) is not None:
@@ -330,9 +330,8 @@ class GMeetState:
         assert np.array_equal(self.lattice.join_many(s[u], s[v]), s[w]), 'inexact Support pair'
 
 
-def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
-               max_pairs=MAX_PAIRS, _tag='gmeet+'):
-    '''GMeet with explicit bookkeeping instead of rescans.
+def gmeet_plus(lattice, fs, on_event=None, max_pairs=MAX_PAIRS):
+    '''GMeet with explicit bookkeeping instead of rescans, over all pairs.
 
     The outer loop drains Conflict pairs (sigma(w) drops to the pair join);
     the inner loop drains Failure pairs (the pair elements are met with
@@ -342,12 +341,21 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
     re-verified and re-classified when their classification changed;
     Failure pops re-derive everything anyway.  `on_event(state, event)`
     fires after every sigma reduction ("reduce") and class transition
-    ("move").  The pair universe is counted against `max_pairs` before any
-    pair list is built.
+    ("move").
     '''
-    counts = _prep(lattice, fs, _tag, pair_universe, max_pairs)
+    return _gmeet_plus(lattice, fs, 'gmeet+', on_event, max_pairs)
+
+
+def gmeet_plus_modular(lattice, fs, on_event=None, max_pairs=MAX_PAIRS):
+    'GMeet+ over cover pairs only, which suffice on a modular lattice (endo._pair_universe).'
+    return _gmeet_plus(lattice, fs, 'gmeet+mod', on_event, max_pairs)
+
+
+def _gmeet_plus(lattice, fs, algorithm, on_event, max_pairs):
+    'The body of gmeet+ and gmeet+mod; the name picks the gate and the pair universe.'
+    counts = _prep(lattice, fs, algorithm, max_pairs=max_pairs)
     state = GMeetState(lattice, counts, _pointwise_meet(lattice, counts, fs),
-                       *_pair_universe(lattice, pair_universe))
+                       *_pair_universe(lattice, _ROUTE_PAIRS[algorithm]))
     reductions = 0
 
     def emit(event):
@@ -392,19 +400,7 @@ def gmeet_plus(lattice, fs, pair_universe=ALL_PAIRS, on_event=None,
         reduce_at(w, j)
         state.insert(pid, _SUP)
         drain_failures()
-    return MeetResult(Endofunction(lattice, state.sigma), _tag, counts, reductions)
-
-
-def gmeet_plus_modular(lattice, fs, on_event=None, max_pairs=MAX_PAIRS):
-    '''GMeet+ over cover pairs only.
-
-    On a modular lattice a bottom-preserving map that preserves joins of
-    pairs within each cover set is already a join-endomorphism, so the
-    restricted pair universe suffices.
-    '''
-    check_precondition('gmeet+mod', lattice)
-    return gmeet_plus(lattice, fs, pair_universe=COVER_PAIRS, on_event=on_event,
-                      max_pairs=max_pairs, _tag='gmeet+mod')
+    return MeetResult(Endofunction(lattice, state.sigma), algorithm, counts, reductions)
 
 
 # Route name -> (callable(lattice, fs), the domain it requires).  README's
@@ -431,45 +427,13 @@ def check_precondition(algorithm, lattice, budget=ENUM_BUDGET):
     lattice lies outside the route's domain.'''
     requires = ROUTES[algorithm][1]
     if requires == 'enumerable':
-        enumerate_join_endomorphisms(lattice, budget)  # refuses before yielding
+        check_enumerable(lattice, budget)
     elif requires == 'distributive' and not lattice.is_distributive():
         raise NotDistributiveError(
             f'{algorithm} requires a distributive lattice; {lattice.label} is not')
     elif requires == 'modular' and not lattice.is_modular():
         raise NotModularError(
             f'{algorithm} requires a modular lattice; {lattice.label} is not')
-
-
-def _pair_count(lattice, kind):
-    'len(_pair_universe(lattice, kind)), worked out without building it.'
-    if kind == ALL_PAIRS:
-        return lattice.n * (lattice.n - 1) // 2
-    if kind == COVER_PAIRS:
-        k = np.bincount(lattice.lower_covers()[1], minlength=lattice.n)
-        return int((k * (k + 1) // 2).sum())
-    raise ValueError(f'unknown pair universe {kind!r}')
-
-
-def _pair_universe(lattice, kind):
-    '''The pairs u < v that GMeet+ checks, as int32 arrays (u, v): all of
-    them, or those within a cover set (the lower covers of w, plus w).'''
-    if kind == ALL_PAIRS:
-        u, v = np.triu_indices(lattice.n, 1)
-    elif kind == COVER_PAIRS:
-        # A pair within the cover set of w joins to w, so no pair lies in
-        # two cover sets and none is listed twice.  Besides the edges (lo, up)
-        # themselves, edge k pairs its lo with those of the cnt[k] edges
-        # after it in its group.
-        lo, up = lattice.lower_covers()
-        k = np.arange(len(up))
-        cnt = np.searchsorted(up, up, side='right') - k - 1
-        first = np.repeat(k, cnt)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        a, b = np.concatenate([lo[first], lo]), np.concatenate([lo[second], up])
-        u, v = np.minimum(a, b), np.maximum(a, b)
-    else:
-        raise ValueError(f'unknown pair universe {kind!r}')
-    return u.astype(np.int32), v.astype(np.int32)
 
 
 def verify_01_relations_preserving(lattice, f):

@@ -29,7 +29,7 @@ from .endo import count_join_endomorphisms
 from .errors import (AugmentationError, BudgetExceededError, OutOfRangeError,
                      SizeUnreachableError)
 from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _covers,
-                      _cycle_pair, _is_lattice_stack, chain)
+                      _is_lattice_stack, _order_fault, chain)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -51,11 +51,9 @@ class NodeStep:
 
 def is_lattice_relation(m):
     '''True when the bool matrix m is a lattice relation: a partial order in
-    which every pair has a least upper and a greatest lower bound.  Shape,
-    reflexivity and antisymmetry are checked here; the bound test rejects a
-    non-transitive m, as in `Lattice`.'''
-    return (len(m) > 0 and m.shape == (len(m),) * 2 and bool(m.diagonal().all())
-            and _cycle_pair(m) is None and bool(_is_lattice_stack(m[None])[0]))
+    which every pair has a least upper and a greatest lower bound, checked
+    as in `Lattice`.'''
+    return _order_fault(m) is None and bool(_is_lattice_stack(m[None])[0])
 
 
 def free_pairs(m):
@@ -82,9 +80,10 @@ def augment(m, step):
         raise AugmentationError(f'step endpoints out of range: {step}')
     for a, b in pairs:
         m = _step_closures(m, [a], [b], node)[0]
-    if _cycle_pair(m) is not None:
+    fault = _order_fault(m)
+    if fault is not None and fault.pair is not None:    # only a cycle names a pair
         raise AugmentationError(f'{step} creates a cycle')
-    if not is_lattice_relation(m):
+    if fault is not None or not _is_lattice_stack(m[None])[0]:
         raise AugmentationError(f'{step} does not yield a lattice relation')
     return m
 

@@ -54,27 +54,24 @@ class Lattice(LatticeBase):
     '''Table-backed finite lattice.
 
     Built from an order matrix `leq` (leq[a, b] means a <= b).  Join/meet
-    tables passed in (by builders with closed forms) are trusted.  Derived
-    tables validate `leq`: NotALatticeError names the label and the offending
-    pair if it is not reflexive and antisymmetric or some lub or glb is
-    missing, which also rejects a non-transitive order.
+    tables passed in (by builders with closed forms) are trusted, with leq.
+    Derived tables validate `leq`: NotALatticeError names the label and the
+    offending pair if it is no partial order (_order_fault) or some lub or
+    glb is missing, which also rejects a non-transitive order.
     '''
 
     def __init__(self, leq, label='lattice', join_table=None, meet_table=None,
                  distributive=None, modular=None):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise NotALatticeError('leq must be a square matrix')
-        self.n = n = leq.shape[0]
-        if n == 0:
-            raise NotALatticeError('a lattice needs at least one element')
+        if join_table is None or meet_table is None:
+            with _naming(label):
+                if (fault := _order_fault(leq)) is not None:
+                    raise fault
+                join_table, meet_table = _tables_from_leq(leq)
+        self.n = leq.shape[0]
         self.label = label
         leq.flags.writeable = False
         self.leq = leq
-        if join_table is None or meet_table is None:
-            with _naming(label):
-                _check_partial_order(leq)
-                join_table, meet_table = _tables_from_leq(leq)
         self._join_table = np.ascontiguousarray(join_table, dtype=np.int32)
         self._meet_table = np.ascontiguousarray(meet_table, dtype=np.int32)
         self.bottom = int(leq.all(axis=1).argmax())    # unique, as leq is a lattice order
@@ -492,19 +489,21 @@ def _naming(label):
         raise NotALatticeError(f'{label}: {exc}', pair=exc.pair) from None
 
 
-def _check_partial_order(leq):
-    '''Reflexive and antisymmetric; the lub/glb test rejects the rest: if i <= j <= k but not
-    i <= k, the lub of i and j could only be j, but k is above j and not above i.'''
-    if not leq.diagonal().all():
-        raise NotALatticeError('order is not reflexive')
-    if (pair := _cycle_pair(leq)) is not None:
-        raise NotALatticeError(f'order is not antisymmetric at {pair}', pair=pair)
-
-
-def _cycle_pair(m):
-    'The first pair (a, b), a != b, row-major, with a <= b <= a in m, else None.'
-    bad = np.argwhere(m & m.T & ~np.eye(len(m), dtype=bool))
-    return tuple(bad[0].tolist()) if len(bad) else None
+def _order_fault(m):
+    '''The NotALatticeError for the first of square, nonempty, reflexive and antisymmetric
+    (naming the first a != b with a <= b <= a) that the bool matrix m breaks, else None.
+    The lub/glb test rejects the rest: if i <= j <= k but not i <= k, the lub of i and j
+    could only be j, but k is above j and not above i.'''
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return NotALatticeError('leq must be a square matrix')
+    if not len(m):
+        return NotALatticeError('a lattice needs at least one element')
+    if not m.diagonal().all():
+        return NotALatticeError('order is not reflexive')
+    if len(bad := np.argwhere(m & m.T & ~np.eye(len(m), dtype=bool))):
+        pair = tuple(bad[0].tolist())
+        return NotALatticeError(f'order is not antisymmetric at {pair}', pair=pair)
+    return None
 
 
 def _tables_from_leq(leq):

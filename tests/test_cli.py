@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from conftest import M3_F, M3_G, N5_COVERS
+from latmeet import cli
 from latmeet.cli import BENCH_COLUMNS, BENCH_HEADER, derive_seed, main
 from latmeet.lattice import read_cover_file
 
@@ -382,6 +383,33 @@ def test_meet_refusal_on_non_modular_lattice_is_pinned(capsys, tmp_path):
     spec = f'file:{path}'
     assert run(capsys, 'meet', '--alg', 'gmeet+mod', '--lattice', spec, '--random', '2') \
         == (1, '', f'error: gmeet+mod requires a modular lattice; {spec} is not\n')
+
+
+def test_meet_budget_caps_brute_before_any_draw(capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError('drew a map before the gate')
+
+    monkeypatch.setattr(cli, 'random_join_endomorphism', no_draws)
+    for lattice, k, budget, space in (('chain:4', 2, 10, '4^3'),
+                                      ('powerset:5', 3, 10 ** 6, '32^5')):
+        assert run(capsys, 'meet', '--lattice', lattice, '--random', str(k),
+                   '--alg', 'brute', '--budget', str(budget)) \
+            == (1, '', f'error: {lattice}: n^|J| = {space} exceeds budget {budget}\n')
+
+
+def test_bench_budget_caps_brute(capsys):
+    '''brute runs within min(--budget, ENUM_CAP): chain:4 has 4^3 candidates
+    and chain:9 9^8 > 10^6.'''
+    argv = ['bench', '--families', 'chain', '--sizes', '4,9', '--algs', 'brute,dmeet+']
+    for budget, ran, skipped in (('10', [], ['chain:4', 'chain:9']),
+                                 ('100000000', ['chain:4'], ['chain:9'])):
+        rc, out, err = run(capsys, *argv, '--budget', budget)
+        assert rc == 0
+        rows = [row.split(',') for row in out.splitlines()[2:]]
+        assert [r[0] for r in rows if r[3] == 'brute'] == ran
+        assert [r[0] for r in rows if r[3] == 'dmeet+'] == ['chain:4', 'chain:9']
+        assert err == ''.join(f'note: brute skipped on {label} (precondition not met)\n'
+                              for label in skipped)
 
 
 @pytest.mark.parametrize('text, message', [

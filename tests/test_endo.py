@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_POINTWISE_MEET,
                       is_join_endo_by_definition, join_endos_by_definition,
                       modular7, n5)
-from latmeet.endo import (Endofunction, _join_pairs, _joins_preserved, _randrange_batch,
+from latmeet.endo import (ALL_PAIRS, COVER_PAIRS, Endofunction, _join_pairs,
+                          _joins_preserved, _pair_count, _pair_universe, _randrange_batch,
                           count_join_endomorphisms, enumerable,
                           enumerate_join_endomorphisms, format_endofunction,
                           is_join_endomorphism, parse_endofunction,
                           pointwise_join, pointwise_leq, pointwise_meet_many,
                           random_join_endomorphism)
 from latmeet.errors import BudgetExceededError, EmptySetError, RetryExhaustedError
-from latmeet.glb import ALL_PAIRS, COVER_PAIRS, _pair_count, _pair_universe, gmeet
+from latmeet.glb import gmeet
 from latmeet.latgen import random_distributive_lattice, random_lattice
 from latmeet.lattice import build, chain, m_n, powerset, product
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import re
 import tracemalloc
+from functools import reduce
 from itertools import combinations, product
 from pathlib import Path
 
@@ -11,12 +13,13 @@ from conftest import (DIAMOND_F, DIAMOND_G, DIAMOND_GLB, M3_F, M3_G, M3_GLB,
                       M3_POINTWISE_MEET, MODULAR7_F, MODULAR7_G, MODULAR7_GLB,
                       MODULAR7_SIGMA_MISMATCHES, brute_of, modular7, n5,
                       route_applies, small_corpus)
-from latmeet.endo import (Endofunction, is_join_endomorphism,
-                          pointwise_leq, random_join_endomorphism)
+from latmeet.endo import (ALL_PAIRS, COVER_PAIRS, Endofunction, _pair_count,
+                          _pair_universe, enumerate_join_endomorphisms,
+                          is_join_endomorphism, pointwise_leq, pointwise_meet_many,
+                          random_join_endomorphism)
 from latmeet.errors import (BudgetExceededError, EmptySetError,
                             NotDistributiveError, NotModularError)
-from latmeet.glb import (ALL_PAIRS, COVER_PAIRS, ROUTES, MeetResult, _pair_count,
-                         _pair_universe, a1_naive, brute_force_meet,
+from latmeet.glb import (ROUTES, MeetResult, a1_naive, brute_force_meet,
                          check_precondition, dmeet, dmeet_plus, gmeet,
                          gmeet_plus, gmeet_plus_modular, meet_algorithms,
                          verify_01_relations_preserving)
@@ -232,15 +235,43 @@ def test_route_outside_its_domain_raises_the_typed_error(name):
     identity = Endofunction(lat, range(lat.n))
     with pytest.raises(error, match=message):
         check_precondition(name, lat, budget=1000)
-    if requires == 'enumerable':
-        with pytest.raises(error, match=message):
-            fn(lat, [identity], budget=1000)
-        return
+    kwargs = {'budget': 1000} if requires == 'enumerable' else {}
     with pytest.raises(error, match=message):
-        fn(lat, [identity])
+        fn(lat, [identity], **kwargs)
     # The domain is checked before the family.
     with pytest.raises(error, match=message):
-        fn(lat, [])
+        fn(lat, [], **kwargs)
+
+
+def test_gate_checks_the_pair_budget_last():
+    for route in (gmeet, gmeet_plus, gmeet_plus_modular):
+        with pytest.raises(EmptySetError):
+            route(m_n(3), [], max_pairs=0)
+    lat = n5()
+    with pytest.raises(NotModularError):
+        gmeet_plus_modular(lat, [Endofunction(lat, range(lat.n))], max_pairs=0)
+
+
+def test_cover_pairs_run_only_where_they_certify_joins():
+    '''On N5 a map can preserve the joins of the cover pairs and not be a
+    join-endomorphism, so GMeet+ over cover pairs could return one: for f
+    and g below it would give (0, 0, 0, 1, 1), not brute's bottom map.
+    gmeet+ checks all pairs and matches brute on every pair of N5's
+    join-endomorphisms, the cover-pair route refuses N5, and neither takes
+    a parameter that picks the pairs.'''
+    lat = n5()
+    endos = list(enumerate_join_endomorphisms(lat))
+    f, g = Endofunction(lat, (0, 0, 1, 1, 1)), Endofunction(lat, (0, 1, 0, 1, 1))
+    assert gmeet_plus(lat, [f, g]).endofunction.values == (0, 0, 0, 0, 0)
+    for pair in combinations(endos, 2):
+        bound = pointwise_meet_many(pair)
+        want = reduce(lat.join_many, (h.array for h in endos if pointwise_leq(h, bound)))
+        assert gmeet_plus(lat, list(pair)).endofunction.values == tuple(want.tolist())
+    with pytest.raises(NotModularError):
+        gmeet_plus_modular(lat, [f, g])
+    for fn in (gmeet_plus, gmeet_plus_modular):
+        assert list(inspect.signature(fn).parameters) == ['lattice', 'fs', 'on_event',
+                                                          'max_pairs']
 
 
 def test_dmeet_plus_fold_cost_model():
@@ -324,14 +355,6 @@ def test_gmeet_plus_cover_pairs_on_modular():
             restricted = gmeet_plus_modular(lat, fs)
             assert restricted.endofunction.values == full
             assert restricted.algorithm == 'gmeet+mod'
-
-
-def test_cover_pair_universe_is_smaller():
-    lat = m_n(4)
-    fs = [random_join_endomorphism(lat, seed=k) for k in range(2)]
-    full = gmeet_plus(lat, fs, pair_universe=ALL_PAIRS)
-    restricted = gmeet_plus(lat, fs, pair_universe=COVER_PAIRS)
-    assert restricted.endofunction.values == full.endofunction.values
 
 
 def test_verify_01_relations_on_known_maps():

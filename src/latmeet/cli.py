@@ -151,7 +151,10 @@ def cmd_meet(args):
               for i in range(args.random)]
     else:
         fs = [_load_endofunction(path, lattice) for path in args.endo]
-    result = meet_algorithms()[args.alg](lattice, fs)
+    if args.alg == 'brute':         # the one route with an enumeration budget
+        result = brute_force_meet(lattice, fs, budget=args.budget)
+    else:
+        result = meet_algorithms()[args.alg](lattice, fs)
     ops = result.op_counts
     lines = [format_endofunction(result.endofunction),
              f'# ops: join={ops["join"]} meet={ops["meet"]} '

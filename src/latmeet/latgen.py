@@ -13,9 +13,21 @@ m | down(a) x up(b), and a node step adds x with down(a) < x < up(b).
 Free pairs are the pairs (a,b), a not below b, whose single-pair closure is
 a lattice relation.  Candidate closures are tested as stacks, each once, and
 generation keeps the accepted ones; the random walk tests each draw's
-closure directly.  An order is a lattice iff each pair has a common upper
-bound c with |up(c)| = the number of common upper bounds (c is their join),
-and dually.
+closure directly, unless a lemma decides it.
+
+A finite order is a lattice iff it has a bottom and each pair has a lub (a
+glb is then the lub of the common lower bounds).  In a transitive order the
+lub of a pair is the common upper bound c with |up(c)| = the number of common
+upper bounds, so `_is_lattice_stack` finds that c by count, then compares
+up(c) with the common upper bounds word for word.  A relation that is not
+transitive fails at some pair (if i <= j <= k but not i <= k, only j could
+be the lub of i and j, and up(j) holds k), so `is_lattice_relation` and
+`augment` reject one with the same test and no matrix product.
+
+Node-step lemma: if a < b in a lattice, wedging x with down(a) < x < up(b)
+in gives a lattice, as x join y is x for y <= a and b join y otherwise, and
+dually for meets.  A random node draw with a < b is therefore accepted
+untested (one with b <= a is a cycle).
 '''
 from __future__ import annotations
 
@@ -28,8 +40,8 @@ import numpy as np
 from .endo import count_join_endomorphisms
 from .errors import (AugmentationError, BudgetExceededError, OutOfRangeError,
                      SizeUnreachableError)
-from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _bound_block_bytes, _covers,
-                      _is_lattice_stack, _order_fault, chain)
+from .lattice import (CHUNK_BYTES, TABLE_LIMIT, Lattice, _covers, _is_lattice_stack,
+                      _order_fault, chain)
 
 GENERATION_CAP = 8
 RANDOM_DRAW_CAP = 64
@@ -51,8 +63,9 @@ class NodeStep:
 
 def is_lattice_relation(m):
     '''True when the bool matrix m is a lattice relation: a partial order in
-    which every pair has a least upper and a greatest lower bound, checked
-    as in `Lattice`.'''
+    which every pair has a least upper and a greatest lower bound.  After the
+    shape, reflexivity and antisymmetry checks, one bottom-and-lub test also
+    rejects a relation that is not transitive.'''
     return _order_fault(m) is None and bool(_is_lattice_stack(m[None])[0])
 
 
@@ -104,11 +117,12 @@ def _step_closures(m, a, b, node=False):
 
 def _accepted_steps(m, node=False):
     '''The steps (a, b) on the transitive order m whose closures are lattice
-    relations, with those closures, row-major, tested in blocks within CHUNK_BYTES.
-    Edge candidates are the incomparable pairs, node candidates those with b not <= a.'''
+    relations, with those closures, row-major, tested in blocks whose closures fit
+    CHUNK_BYTES.  Edge candidates are the incomparable pairs, node candidates those
+    with b not <= a.'''
     pairs = np.argwhere(~m.T if node else ~(m | m.T))
     size = len(m) + node
-    per = max(1, CHUNK_BYTES // (size * _bound_block_bytes(size)))
+    per = max(1, CHUNK_BYTES // (size * size))
     for chunk in (pairs[p:p + per] for p in range(0, len(pairs), per)):
         closures = _step_closures(m, *chunk.T, node)
         ok = _is_lattice_stack(closures)
@@ -210,19 +224,26 @@ def random_lattice(n, seed=None):
 
 
 def _random_step(m, rng):
-    '''The closure of one random step on m, tested once per draw: a node draw
-    (a, b) with b <= a is a cycle, anything else a closure and a lattice test.
+    '''The closure of one random step on the lattice order m.  A draw is an
+    index into the node pairs (a, b), a != b, then the incomparable edge pairs,
+    both row-major.  A node draw with b <= a is a cycle and one with a < b a
+    lattice by the node-step lemma, so only the rest get a lattice test.
     After RANDOM_DRAW_CAP draws per element, pick among the accepted steps.'''
     n = len(m)
-    candidates = ([('node', p) for p in np.argwhere(~np.eye(n, dtype=bool)).tolist()]
-                  + [('edge', p) for p in np.argwhere(~(m | m.T)).tolist()])
+    edges = np.argwhere(~(m | m.T))
+    nodes = n * (n - 1)
     for _ in range(RANDOM_DRAW_CAP * n):
-        kind, (a, b) = rng.choice(candidates)
-        node = kind == 'node'
-        if node and m[b, a]:
-            continue
+        k = rng.choice(range(nodes + len(edges)))
+        node = k < nodes
+        if node:
+            a, b = divmod(k, n - 1)
+            b += b >= a                         # skip the diagonal
+            if m[b, a]:
+                continue
+        else:
+            a, b = edges[k - nodes]
         closed = _step_closures(m, [a], [b], node)
-        if _is_lattice_stack(closed)[0]:
+        if (node and m[a, b]) or _is_lattice_stack(closed)[0]:
             return closed[0]
     steps = list(_accepted_steps(m, node=True)) + list(_accepted_steps(m))
     return rng.choice(steps)[1]

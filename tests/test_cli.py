@@ -7,7 +7,9 @@ import pytest
 from conftest import M3_F, M3_G, N5_COVERS
 from latmeet import cli
 from latmeet.cli import BENCH_COLUMNS, BENCH_HEADER, derive_seed, main
-from latmeet.lattice import read_cover_file
+from latmeet.endo import format_endofunction, random_join_endomorphism
+from latmeet.glb import brute_force_meet
+from latmeet.lattice import build, read_cover_file
 
 
 def run(capsys, *argv):
@@ -395,6 +397,19 @@ def test_meet_budget_caps_brute_before_any_draw(capsys, monkeypatch):
         assert run(capsys, 'meet', '--lattice', lattice, '--random', str(k),
                    '--alg', 'brute', '--budget', str(budget)) \
             == (1, '', f'error: {lattice}: n^|J| = {space} exceeds budget {budget}\n')
+
+
+def test_meet_passes_budget_to_brute(capsys):
+    '''chain:10 has 10^9 candidate maps, over the default budget of 10^8:
+    --budget raises the cap for the gate and for the route alike, and the CLI
+    prints what the direct call returns.'''
+    lat = build('chain:10')
+    fs = [random_join_endomorphism(lat, seed=derive_seed(0, 'endo', i)) for i in range(2)]
+    want = brute_force_meet(lat, fs, budget=10 ** 9)
+    assert run(capsys, 'meet', '--lattice', 'chain:10', '--random', '2', '--alg', 'brute',
+               '--budget', str(10 ** 9)) \
+        == (0, f'{format_endofunction(want.endofunction)}\n# ops: join={want.op_counts["join"]} '
+               'meet=0 subtraction=0 sigma_reductions=0 algorithm=brute\n', '')
 
 
 def test_bench_budget_caps_brute(capsys):

@@ -92,6 +92,16 @@ def test_is_lattice_relation():
     assert not is_lattice_relation(np.ones((2, 3), dtype=bool))
 
 
+def test_a_bottomless_order_with_every_lub_is_rejected():
+    '''{0, 1} < 2: every pair has a lub, but 0 and 1 have no common lower
+    bound, so only the bottom check can refuse it.'''
+    vee = np.eye(3, dtype=bool)
+    vee[0, 2] = vee[1, 2] = True
+    assert lattice._is_lattice_stack(vee[None]).tolist() == [False]
+    assert not is_lattice_relation(vee)
+    assert lattice._is_lattice_stack(np.stack([chain(3).leq, vee])).tolist() == [True, False]
+
+
 def test_free_pairs_definition_is_self_consistent():
     for size, lats in generate_all_lattices(6).items():
         for lat in lats:
@@ -186,6 +196,23 @@ def test_augment_refuses_a_non_transitive_relation():
                                  (NodeStep(a, b), _node_matrix(m, a, b))):
                 got = _augment_or_none(m, step)
                 assert got is None or got == _reference_closure(matrix), step
+
+
+def test_node_step_lemma_holds_up_to_seven():
+    '''Wedging x between a < b of a lattice always gives a lattice, which is
+    why the random walk accepts such a node draw untested: for every a < b of
+    every lattice up to seven elements the closure passes the test and is
+    what augment returns.'''
+    checked = 0
+    for lats in generate_all_lattices(7).values():
+        for lat in lats:
+            rel = lat.leq
+            for a, b in np.argwhere(rel & ~np.eye(lat.n, dtype=bool)).tolist():
+                closed = latgen._step_closures(rel, [a], [b], node=True)
+                assert lattice._is_lattice_stack(closed).tolist() == [True], (lat.label, a, b)
+                assert np.array_equal(closed[0], augment(rel, NodeStep(a, b))), (lat.label, a, b)
+                checked += 1
+    assert checked > 1000
 
 
 def test_node_steps_grow_by_one():
@@ -673,11 +700,29 @@ def test_is_lattice_relation_matches_the_definition_on_four_points():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(closed_relations(n), min_size=1, max_size=6)))
-def test_stacked_lattice_test_matches_one_at_a_time(stack):
-    got = lattice._is_lattice_stack(np.array(stack))
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(closed_relations(n), min_size=1, max_size=6)),
+    st.sampled_from([lattice.CHUNK_BYTES, 1]))
+def test_stacked_lattice_test_matches_one_at_a_time(stack, budget):
+    '''A budget of one byte puts every order and row in a block of its own.'''
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, 'CHUNK_BYTES', budget)
+        got = lattice._is_lattice_stack(np.array(stack))
     assert got.tolist() == [scalar_is_lattice_relation(m) for m in stack]
+
+
+@pytest.mark.parametrize('budget', [lattice.CHUNK_BYTES, 1])
+def test_stacked_lattice_test_on_orders_wider_than_a_word(budget):
+    '''Up-sets of more than 64 elements take several words: the edge closures
+    of a 72-element lattice, in one stack, get the scalar verdicts.'''
+    rel = random_lattice(72, seed=3).leq
+    pairs = np.argwhere(~(rel | rel.T))[::29]
+    stack = latgen._step_closures(rel, *pairs.T)
+    want = [scalar_is_lattice_relation(m) for m in stack]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, 'CHUNK_BYTES', budget)
+        assert lattice._is_lattice_stack(stack).tolist() == want
+    assert True in want and False in want
 
 
 def test_table_errors_name_the_first_pair_lub_before_glb():
